@@ -2,17 +2,13 @@
 classical limits, with a verification harness for the identity catalog."""
 
 from .bilateral import (
-    BaileyParams,
-    MultibasicParams,
     SeriesEvaluation,
-    SeriesParams,
     appell_lerch_rhs,
     bailey_series,
     fourier_series_side,
     main_series,
     multibasic_series,
     symmetric_series,
-    symmetric_term,
     weighted_series,
 )
 from .classical import (
@@ -22,7 +18,6 @@ from .classical import (
     binomial_real,
     classical_integral,
     classical_sum,
-    classical_sum_eq_integral,
     gamma_classical,
     osler_sum,
 )
@@ -51,12 +46,12 @@ from .identities import (
     sweep,
     sweep_points,
     verify,
-    verify_bailey_binomial,
-    verify_multibasic,
-    verify_qbinomial_form,
 )
 from .qcore import (
+    BaileyParams,
+    MultibasicParams,
     QParams,
+    SeriesParams,
     TruncationPolicy,
     default_policy,
     qbinomial,

@@ -1,46 +1,47 @@
-"""Bilateral series with certified symmetric truncation.
+"""Bilateral series as windows of the integer lattice.
 
 Every sum here runs over all integers n with super-exponential term decay
-q^{(1-alpha) n^2 / 2} (or faster); terms are accumulated center-outward in
-(n, -n) pairs with compensated summation, and truncation combines the
-asymptotic index bound with an empirical three-small-pairs stop.
+q^{(1-alpha) n^2 / 2} (or faster).  A term is a vectorized function of an
+integer array: identities with an integral twin use the twin's integrand from
+quadrature, the series-only ones (main, Bailey, Appell-Lerch) define theirs
+here.  _sum_pairs evaluates a window n in [-N, N] at once, finds the stop
+index from the decay radius and an empirical three-small-pairs rule, and sums
+the terms up to it exactly (fsum).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
-from .errors import (
-    DenominatorZero,
-    InvalidParams,
-    KernelPole,
-    NoConvergence,
-)
+import numpy as np
+
+from .errors import DenominatorZero, InvalidParams, KernelPole, NoConvergence
 from .qcore import (
+    BaileyParams,
+    MultibasicParams,
     QParams,
+    SeriesParams,
     TruncationPolicy,
-    _principal_power,
     qpoch_inf,
     qpoch_inf_large,
 )
-from .util import KahanSum
-
-
-@dataclass(frozen=True)
-class SeriesParams:
-    """Parameter point (a, b, z) over a base pair for the bilateral sums."""
-
-    qp: QParams
-    a: complex
-    b: complex
-    z: complex
-
-    def __post_init__(self) -> None:
-        if self.z == 0:
-            raise InvalidParams("z must be nonzero")
+from .quadrature import (
+    _decay_radius,
+    _fourier_integrand,
+    _gaussian_decay,
+    _multibasic_decay,
+    _multibasic_integrand,
+    _qpoch_pair,
+    _require_off_negative_axis,
+    _symmetric_decay,
+    _symmetric_integrand,
+    _weighted_decay,
+    _weighted_integrand,
+)
+from .util import fsum_complex
 
 
 @dataclass(frozen=True)
@@ -50,123 +51,83 @@ class SeriesEvaluation:
     value: complex
     terms_used: int
     tail_estimate: float
-    converged: bool
 
 
-@dataclass(frozen=True)
-class BaileyParams:
-    """Parameters of the four-product bilateral transformation."""
+def _sum_pairs(term: Callable[[np.ndarray], np.ndarray],
+               decay: tuple[float, float], policy: TruncationPolicy,
+               n_min: int = 0) -> SeriesEvaluation:
+    """Sum term(n) over n in Z as a window [-N, N] of the integer lattice.
 
-    qp: QParams
-    a1: complex
-    a2: complex
-    b1: complex
-    b2: complex
-    z: complex
-
-    def __post_init__(self) -> None:
-        if self.z == 0:
-            raise InvalidParams("z must be nonzero")
-
-
-@dataclass(frozen=True)
-class MultibasicParams:
-    """Two bases p1, p2 tied to a common q = p1^alpha1 = p2^alpha2.
-
-    The q-binomial in base pj steps by alphaj so that pj^(alphaj n) = q^n;
-    convergence of the paired sum/integral requires alpha1 + alpha2 < 1.
-    A second coefficient with a2 = b2 = 0 denotes the degenerate single-base
-    reduction (constant second factor).
+    term maps an integer array to its terms.  The sum stops at the first
+    n >= n_min (raised to the decay radius for policy.eps and to
+    policy.min_terms // 2) where three consecutive pairs (n, -n) each have
+    |t(n)| + |t(-n)| <= eps max(1, |partial sum through n|).  The window
+    doubles until it holds that stop; a non-finite term before it, or a stop
+    beyond policy.max_terms terms, raises NoConvergence.
     """
-
-    p1: complex
-    p2: complex
-    q: complex
-    a1: float
-    b1: float
-    a2: float
-    b2: float
-    z: complex
-    alpha1: float = field(init=False)
-    alpha2: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        for name, p in (("p1", self.p1), ("p2", self.p2), ("q", self.q)):
-            if not 0.0 < abs(p) < 1.0:
-                raise InvalidParams(f"need 0 < |{name}| < 1, got {abs(p)}")
-        if self.z == 0:
-            raise InvalidParams("z must be nonzero")
-        a1 = math.log(abs(self.q)) / math.log(abs(self.p1))
-        a2 = math.log(abs(self.q)) / math.log(abs(self.p2))
-        object.__setattr__(self, "alpha1", a1)
-        object.__setattr__(self, "alpha2", a2)
-        if self.trivial_second:
-            a2 = 0.0
-        if not (a1 > 0.0 and a2 >= 0.0 and a1 + a2 < 1.0):
-            raise InvalidParams(
-                f"need alpha1 + alpha2 < 1, got {a1 + a2}"
-            )
-
-    @property
-    def trivial_second(self) -> bool:
-        return self.a2 == 0.0 and self.b2 == 0.0
-
-    @property
-    def alpha_sum(self) -> float:
-        return self.alpha1 + (0.0 if self.trivial_second else self.alpha2)
-
-    @classmethod
-    def from_alpha_sum(cls, p1: complex, p2: complex, alpha_sum: float,
-                       a1: float, b1: float, a2: float, b2: float,
-                       z: complex) -> "MultibasicParams":
-        """Fix q so that ln q / ln p1 + ln q / ln p2 = alpha_sum."""
-        if not 0.0 < alpha_sum < 1.0:
-            raise InvalidParams(f"need 0 < alpha_sum < 1, got {alpha_sum}")
-        lnq = alpha_sum / (1.0 / math.log(abs(p1)) + 1.0 / math.log(abs(p2)))
-        return cls(p1=p1, p2=p2, q=math.exp(lnq),
-                   a1=a1, b1=b1, a2=a2, b2=b2, z=z)
-
-
-def _asymptotic_start(growth_ratio: float, gauss_rate: float,
-                      eps: float) -> int:
-    """Index past which r^n exp(-A n^2) drops below eps (A = gauss_rate)."""
-    lr = max(math.log(max(growth_ratio, 1.0)), 0.0)
-    le = math.log(1.0 / eps)
-    n0 = (lr + math.sqrt(lr * lr + 4.0 * gauss_rate * le)) / (2.0 * gauss_rate)
-    return int(math.ceil(n0))
-
-
-def _sum_pairs(term: Callable[[int], complex], policy: TruncationPolicy,
-               n_min: int) -> SeriesEvaluation:
-    """Center-outward compensated bilateral summation with certified stop."""
-    acc = KahanSum()
-    acc.add(term(0))
-    n = 1
-    consecutive = 0
-    tail = math.inf
-    n_min = max(n_min, policy.min_terms // 2)
+    n_min = max(n_min, math.ceil(_decay_radius(decay, policy.eps)),
+                policy.min_terms // 2, 1)
+    n_max = (policy.max_terms - 1) // 2
+    half = n_min + 4
     while True:
-        tp = term(n)
-        tm = term(-n)
-        acc.add(tp)
-        acc.add(tm)
-        mag = abs(tp) + abs(tm)
-        if not math.isfinite(mag):
-            raise NoConvergence(f"term overflow at |n|={n}")
-        if n >= n_min and mag <= policy.eps * max(1.0, abs(acc.value)):
-            consecutive += 1
-            tail = min(tail, mag)
-        else:
-            consecutive = 0
-            tail = math.inf
-        if consecutive >= 3:
-            return SeriesEvaluation(value=acc.value, terms_used=2 * n + 1,
-                                    tail_estimate=tail, converged=True)
-        n += 1
-        if 2 * n + 1 > policy.max_terms:
+        big = min(half, n_max)
+        # Non-finite values are caught below, not warned about.
+        with np.errstate(all="ignore"):
+            t = np.asarray(term(np.arange(-big, big + 1)), dtype=complex)
+            plus, minus = t[big + 1:], t[big - 1::-1]  # t(n), t(-n), n >= 1
+            mag = np.abs(plus) + np.abs(minus)
+            partial = np.abs(t[big] + np.cumsum(plus + minus))
+            small = mag <= policy.eps * np.maximum(1.0, partial)
+        small[:n_min - 1] = False
+        stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:]) + 3
+        bad = (np.flatnonzero(~np.isfinite(mag)) + 1).tolist()
+        if not np.isfinite(t[big]):
+            bad.insert(0, 0)
+        if stops.size and (not bad or stops[0] < bad[0]):
+            n = int(stops[0])
+            return SeriesEvaluation(
+                value=fsum_complex(t[big - n:big + n + 1]),
+                terms_used=2 * n + 1, tail_estimate=float(mag[n - 3:n].min()))
+        if bad:
+            raise NoConvergence(f"term overflow at |n|={bad[0]}")
+        if big == n_max:
             raise NoConvergence(
                 f"bilateral sum did not converge within {policy.max_terms} terms"
             )
+        half *= 2
+
+
+def _masked_terms(w: np.ndarray, n: np.ndarray,
+                  factor: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """w * factor(n), with factor evaluated only where w != 0: a weight that
+    underflows zeroes its term even where the factor overflows."""
+    out = np.zeros(n.shape, dtype=complex)
+    live = w != 0
+    out[live] = w[live] * factor(n[live])
+    return out
+
+
+def _product_terms(qp: QParams, pairs, z: complex, k: int):
+    """n -> z^n q^(k n(n-1)/2) prod_j (b_j q^n, a_j q^-n; p)_inf for
+    pairs = ((a_1, b_1), ...)."""
+    q, p, z = complex(qp.q), complex(qp.p), complex(z)
+
+    def factor(n: np.ndarray) -> np.ndarray:
+        qn = np.power(q, n)
+        v = 1.0
+        for a, b in pairs:
+            v = v * _qpoch_pair(b * qn, a / qn, p)
+        return v
+
+    return lambda n: _masked_terms(
+        np.power(z, n) * np.power(q, k * (n * (n - 1) // 2)), n, factor)
+
+
+def _bailey_decay(q: complex, alpha: float, pairs,
+                  z: complex) -> tuple[float, float]:
+    """Decay of two-pair product terms under a q^(n(n-1)) weight."""
+    decays = [_gaussian_decay(q, alpha, a, b, z) for a, b in pairs]
+    return 2.0 * decays[0][0], max(r for _, r in decays)
 
 
 def _check_denominator_factors(z: complex, q: complex) -> None:
@@ -181,57 +142,11 @@ def _check_denominator_factors(z: complex, q: complex) -> None:
             )
 
 
-def _require_off_negative_axis(z: complex) -> None:
-    z = complex(z)
-    if z.imag == 0.0 and z.real < 0.0:
-        raise InvalidParams(f"z={z} lies on the negative real axis")
-
-
 def main_series(params: SeriesParams,
                 policy: TruncationPolicy) -> SeriesEvaluation:
     """Bilateral sum of (b q^n, a q^-n; p)_inf z^n q^(n(n-1)/2)."""
-    qp, a, b, z = params.qp, params.a, params.b, params.z
-    q, p, alpha = qp.q, qp.p, qp.alpha
-    gauss = 0.5 * (1.0 - alpha) * math.log(1.0 / abs(q))
-    r = _growth_ratio(a, b, z, alpha, abs(q))
-    n_min = _asymptotic_start(r, gauss, policy.eps)
-
-    def term(n: int) -> complex:
-        w = complex(z) ** n * complex(q) ** (n * (n - 1) // 2)
-        if w == 0:
-            return 0.0
-        return (qpoch_inf_large(b * complex(q) ** n, p, policy)
-                * qpoch_inf_large(a * complex(q) ** (-n), p, policy) * w)
-
-    return _sum_pairs(term, policy, n_min)
-
-
-def _growth_ratio(a: complex, b: complex, z: complex, alpha: float,
-                  aq: float) -> float:
-    """max of the linear-in-n growth ratios from the tail asymptotics."""
-    az = abs(z)
-    r_plus = az * abs(a) ** alpha / aq if a != 0 else az / aq
-    r_minus = abs(b) ** alpha / az if b != 0 else 1.0 / az
-    return max(r_plus, r_minus, 1.0)
-
-
-def symmetric_term(params: SeriesParams, x: complex,
-                   policy: TruncationPolicy) -> complex:
-    """One term/integrand value of the symmetric sum-equals-integral form."""
-    qp, a, b, z = params.qp, params.a, params.b, params.z
-    q, p = qp.q, qp.p
-    qx = _cpow(q, x)
-    num = (qpoch_inf_large(b * qx, p, policy)
-           * qpoch_inf_large(a / qx, p, policy))
-    den = (qpoch_inf_large(-z * qx, q, policy)
-           * qpoch_inf_large(-complex(q) / (complex(z) * qx), q, policy))
-    return num / den
-
-
-def _cpow(base: complex, expo: complex) -> complex:
-    if isinstance(expo, int) or (isinstance(expo, float) and expo.is_integer()):
-        return complex(base) ** int(expo)
-    return _principal_power(base, expo)
+    term = _product_terms(params.qp, ((params.a, params.b),), params.z, 1)
+    return _sum_pairs(term, _symmetric_decay(params), policy)
 
 
 def symmetric_series(params: SeriesParams,
@@ -241,12 +156,8 @@ def symmetric_series(params: SeriesParams,
     q = params.qp.q
     _check_denominator_factors(params.z, q)
     _check_denominator_factors(complex(q) / complex(params.z), q)
-    alpha = params.qp.alpha
-    gauss = 0.5 * (1.0 - alpha) * math.log(1.0 / abs(q))
-    r = _growth_ratio(params.a, params.b, params.z, alpha, abs(q))
-    n_min = _asymptotic_start(r, gauss, policy.eps)
-    term = lambda n: symmetric_term(params, n, policy)
-    return _sum_pairs(term, policy, n_min)
+    return _sum_pairs(_symmetric_integrand(params), _symmetric_decay(params),
+                      policy)
 
 
 def weighted_series(params: SeriesParams, m: int,
@@ -254,13 +165,8 @@ def weighted_series(params: SeriesParams, m: int,
     """Symmetric-form bilateral sum at z = 1 with weight q^(mn)."""
     if params.z != 1:
         raise InvalidParams("weighted_series is defined at z = 1")
-    q = params.qp.q
-    alpha = params.qp.alpha
-    gauss = 0.5 * (1.0 - alpha) * math.log(1.0 / abs(q))
-    r = _growth_ratio(params.a, params.b, 1.0, alpha, abs(q)) / abs(q) ** abs(m)
-    n_min = _asymptotic_start(r, gauss, policy.eps)
-    term = lambda n: symmetric_term(params, n, policy) * complex(q) ** (m * n)
-    return _sum_pairs(term, policy, n_min)
+    return _sum_pairs(_weighted_integrand(params, m),
+                      _weighted_decay(params, m), policy)
 
 
 def fourier_series_side(params: SeriesParams, y: float,
@@ -286,12 +192,8 @@ def fourier_series_side(params: SeriesParams, y: float,
     pref /= (qpoch_inf(q, q, policy) ** 2
              * qpoch_inf_large(-eiy, q, policy)
              * qpoch_inf_large(-complex(q) / eiy, q, policy))
-    alpha = params.qp.alpha
-    gauss = 0.5 * (1.0 - alpha) * math.log(1.0 / abs(q))
-    r = _growth_ratio(params.a, params.b, 1.0, alpha, abs(q))
-    n_min = _asymptotic_start(r, gauss, policy.eps)
-    term = lambda n: symmetric_term(params, n, policy) * cmath.exp(1j * n * y)
-    series = _sum_pairs(term, policy, n_min)
+    series = _sum_pairs(_fourier_integrand(params, y),
+                        _symmetric_decay(params), policy)
     return pref * series.value
 
 
@@ -302,38 +204,17 @@ def bailey_series(params: BaileyParams, side: str,
     side is "left" or "right"; the right side carries the z prefactor.
     """
     qp, z = params.qp, params.z
-    q, p, alpha = qp.q, qp.p, qp.alpha
-    gauss = (1.0 - alpha) * math.log(1.0 / abs(q))
-    r = max(_growth_ratio(params.a1, params.b1, z, alpha, abs(q)),
-            _growth_ratio(params.a2, params.b2, z, alpha, abs(q)))
-    n_min = _asymptotic_start(r, gauss, policy.eps)
-
+    a1, a2, b1, b2 = params.a1, params.a2, params.b1, params.b2
+    decay = _bailey_decay(qp.q, qp.alpha, ((a1, b1), (a2, b2)), z)
     if side == "left":
-        args = (params.b1, params.b2, params.a1, params.a2)
-        zz, pref = z, 1.0
-    elif side == "right":
-        args = (params.b1 / z, params.b2 / z, params.a1 * z, params.a2 * z)
-        zz, pref = 1.0 / z, z
-    else:
+        term = _product_terms(qp, ((a1, b1), (a2, b2)), z, 2)
+        return _sum_pairs(term, decay, policy)
+    if side != "right":
         raise InvalidParams(f"side must be 'left' or 'right', got {side!r}")
-    b1, b2, a1, a2 = args
-
-    def term(n: int) -> complex:
-        w = complex(zz) ** n * complex(q) ** (n * (n - 1))
-        if w == 0:
-            return 0.0
-        qn = complex(q) ** n
-        return (qpoch_inf_large(b1 * qn, p, policy)
-                * qpoch_inf_large(b2 * qn, p, policy)
-                * qpoch_inf_large(a1 / qn, p, policy)
-                * qpoch_inf_large(a2 / qn, p, policy) * w)
-
-    ev = _sum_pairs(term, policy, n_min)
-    if pref != 1.0:
-        ev = SeriesEvaluation(value=pref * ev.value, terms_used=ev.terms_used,
-                              tail_estimate=abs(pref) * ev.tail_estimate,
-                              converged=ev.converged)
-    return ev
+    term = _product_terms(qp, ((a1 * z, b1 / z), (a2 * z, b2 / z)), 1.0 / z, 2)
+    ev = _sum_pairs(term, decay, policy)
+    return replace(ev, value=z * ev.value,
+                   tail_estimate=abs(z) * ev.tail_estimate)
 
 
 def appell_lerch_rhs(a: complex, q: complex,
@@ -352,9 +233,8 @@ def appell_lerch_rhs(a: complex, q: complex,
     a = complex(a)
     q = complex(q)
     q2 = q * q
-    gauss = math.log(1.0 / aq)  # terms ~ (1/|a|)^n q^(n^2+n)
-    r = max(abs(a), 1.0 / abs(a)) / aq
-    n_min = _asymptotic_start(r, gauss, policy.eps)
+    # A theta-type sum in base q^2: terms ~ (1/|a|)^n q^(n^2+n).
+    decay = _gaussian_decay(q2, 0.0, z=a)
 
     # Locate a (near-)pole of 1 - a q^(2n+1) on the summed lattice.
     n_star = None
@@ -365,25 +245,24 @@ def appell_lerch_rhs(a: complex, q: complex,
             n_star = n
             break
 
-    def bare(n: int) -> complex:
-        return (-1.0 / a) ** n * q ** (n * n + n)
+    def bare(n):
+        return np.power(-1.0 / a, n) * np.power(q, n * n + n)
+
+    def term(n: np.ndarray) -> np.ndarray:
+        t = bare(n) / (1.0 - a * np.power(q, 2 * n + 1))
+        return t if n_star is None else np.where(n == n_star, 0.0, t)
 
     if n_star is None:
-        term = lambda n: bare(n) / (1.0 - a * q ** (2 * n + 1))
-        ev = _sum_pairs(term, policy, n_min)
+        ev = _sum_pairs(term, decay, policy)
         pref = 2.0 * qpoch_inf_large(q * a, q2, policy) \
             * qpoch_inf_large(q / a, q2, policy)
-        return SeriesEvaluation(value=pref * ev.value,
-                                terms_used=ev.terms_used,
-                                tail_estimate=abs(pref) * ev.tail_estimate,
-                                converged=ev.converged)
+        return replace(ev, value=pref * ev.value,
+                       tail_estimate=abs(pref) * ev.tail_estimate)
 
     # Pair the vanishing prefactor-factor with the pole term before summing.
     u = 1.0 - a * q ** (2 * n_star + 1)
-    c = bare(n_star)
-    term = lambda n: 0.0 if n == n_star \
-        else bare(n) / (1.0 - a * q ** (2 * n + 1))
-    ev = _sum_pairs(term, policy, max(n_min, abs(n_star) + 2))
+    c = complex(bare(n_star))
+    ev = _sum_pairs(term, decay, policy, abs(n_star) + 2)
     if n_star >= 0:
         # u is literally factor n_star of (qa; q^2)_inf.
         pref = 2.0 * qpoch_inf_large(q / a, q2, policy) \
@@ -395,9 +274,7 @@ def appell_lerch_rhs(a: complex, q: complex,
         pref = 2.0 * qpoch_inf_large(q * a, q2, policy) \
             * _qpoch_skip_factor(q / a, q2, k_star, policy)
         value = pref * ((-u / (1.0 - u)) * ev.value - c / (1.0 - u))
-    return SeriesEvaluation(value=value, terms_used=ev.terms_used,
-                            tail_estimate=abs(pref) * ev.tail_estimate,
-                            converged=ev.converged)
+    return replace(ev, value=value, tail_estimate=abs(pref) * ev.tail_estimate)
 
 
 def _qpoch_skip_factor(a: complex, q: complex, skip: int,
@@ -412,64 +289,11 @@ def _qpoch_skip_factor(a: complex, q: complex, skip: int,
                                   q, policy)
 
 
-def multibasic_binomial(a: float, b_off: float, alpha: float, p: complex,
-                        x: complex, policy: TruncationPolicy,
-                        consts: tuple[complex, complex] | None = None) -> complex:
-    """[a; b_off + alpha x]_p as a ratio of infinite products.
-
-    consts may carry the x-independent pair ((p;p)_inf, (p^(a+1);p)_inf).
-    """
-    if consts is None:
-        consts = multibasic_binomial_consts(a, p, policy)
-    cp, cpa = consts
-    e1 = _cpow(p, b_off + 1.0) * _cpow(p, alpha * x)
-    e2 = _cpow(p, a - b_off + 1.0) / _cpow(p, alpha * x)
-    return (qpoch_inf_large(e1, p, policy) * qpoch_inf_large(e2, p, policy)
-            / (cp * cpa))
-
-
-def multibasic_binomial_consts(a: float, p: complex,
-                               policy: TruncationPolicy):
-    return (qpoch_inf(p, p, policy),
-            qpoch_inf(_cpow(p, a + 1.0), p, policy))
-
-
-def multibasic_term(params: MultibasicParams, x: complex,
-                    policy: TruncationPolicy,
-                    consts=None) -> complex:
-    """Integrand/term of the two-base sum-equals-integral identity."""
-    if consts is None:
-        consts = multibasic_consts(params, policy)
-    c1, c2 = consts
-    q, z = params.q, params.z
-    qx = _cpow(q, x)
-    v = multibasic_binomial(params.a1, params.b1, params.alpha1, params.p1,
-                            x, policy, c1)
-    if not params.trivial_second:
-        v *= multibasic_binomial(params.a2, params.b2, params.alpha2,
-                                 params.p2, x, policy, c2)
-    den = (qpoch_inf_large(-z * qx, q, policy)
-           * qpoch_inf_large(-complex(q) / (complex(z) * qx), q, policy))
-    return v / den
-
-
-def multibasic_consts(params: MultibasicParams, policy: TruncationPolicy):
-    c1 = multibasic_binomial_consts(params.a1, params.p1, policy)
-    c2 = None
-    if not params.trivial_second:
-        c2 = multibasic_binomial_consts(params.a2, params.p2, policy)
-    return c1, c2
-
-
 def multibasic_series(params: MultibasicParams,
                       policy: TruncationPolicy) -> SeriesEvaluation:
     """Bilateral sum of the two-base q-binomial terms."""
     _require_off_negative_axis(params.z)
     _check_denominator_factors(params.z, params.q)
     _check_denominator_factors(complex(params.q) / complex(params.z), params.q)
-    gauss = 0.5 * (1.0 - params.alpha_sum) * math.log(1.0 / abs(params.q))
-    n_min = _asymptotic_start(max(abs(params.z), 1.0 / abs(params.z)) / abs(params.q),
-                              gauss, policy.eps)
-    consts = multibasic_consts(params, policy)
-    term = lambda n: multibasic_term(params, n, policy, consts)
-    return _sum_pairs(term, policy, n_min)
+    return _sum_pairs(_multibasic_integrand(params), _multibasic_decay(params),
+                      policy)

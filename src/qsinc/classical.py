@@ -230,28 +230,3 @@ def classical_integral(a: float, alpha: float, l: int,
             f"node-density refinement changed value by {err:.2e}"
         )
     return refined, max(err, tail)
-
-
-def classical_sum_eq_integral(a: float, alpha: float, l: int,
-                              policy: TruncationPolicy):
-    """Verify sum over Z equals integral over R for binom(a, alpha .)^l.
-
-    Valid for a > 0, l >= 1, 0 < alpha <= 2/l; returns an IdentityReport.
-    """
-    if a <= 0.0:
-        raise InvalidParams(f"need a > 0, got {a}")
-    if l < 1:
-        raise InvalidParams(f"need l >= 1, got {l}")
-    if not 0.0 < alpha <= 2.0 / l:
-        raise InvalidParams(f"need 0 < alpha <= 2/l = {2.0 / l}, got {alpha}")
-    from .identities import IdentityId, make_report
-
-    s, s_tail = classical_sum(a, alpha, l, policy)
-    i, i_err = classical_integral(a, alpha, l, policy)
-    return make_report(
-        IdentityId.ClassicalSumInt,
-        {"a": a, "alpha": alpha, "l": l},
-        lhs=complex(s), rhs=complex(i), tol=1e-6,
-        lhs_diag={"tail_estimate": s_tail},
-        rhs_diag={"error_estimate": i_err},
-    )

@@ -13,7 +13,6 @@ import io
 import math
 import random
 import sys
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -35,20 +34,6 @@ EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
-
-
-@dataclass
-class RunConfig:
-    """Resolved command configuration shared by the subcommands."""
-
-    identity: str = ""
-    params: dict[str, Any] = field(default_factory=dict)
-    tol: float | None = None
-    output_format: str = "json"
-    output_path: str | None = None
-    seed: int = 0
-    threads: int = 1
-    timing: bool = False
 
 
 class UsageError(Exception):

@@ -18,26 +18,23 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping
 
+import numpy as np
+
 from . import bilateral, classical, quadrature
-from .bilateral import (
-    BaileyParams,
-    MultibasicParams,
-    SeriesParams,
-    _asymptotic_start,
-    _sum_pairs,
-    multibasic_binomial,
-    multibasic_binomial_consts,
-)
+from .bilateral import _bailey_decay, _masked_terms, _sum_pairs
 from .classical import OslerParams
 from .errors import InvalidGrid, InvalidParams, QsincError
 from .qcore import (
+    BaileyParams,
+    MultibasicParams,
     QParams,
+    SeriesParams,
     TruncationPolicy,
     default_policy,
     qpoch_inf,
     theta_product,
 )
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, _binomial_factor, _gaussian_decay
 
 
 class IdentityId(Enum):
@@ -140,8 +137,7 @@ def make_report(ident: IdentityId, params: Mapping[str, Any], lhs: complex,
 
 
 def _series_diag(ev: bilateral.SeriesEvaluation) -> dict[str, Any]:
-    return {"terms": ev.terms_used, "tail_estimate": ev.tail_estimate,
-            "converged": ev.converged}
+    return {"terms": ev.terms_used, "tail_estimate": ev.tail_estimate}
 
 
 def _quad_diag(res: quadrature.QuadratureResult) -> dict[str, Any]:
@@ -300,19 +296,18 @@ def _bailey_binomial_sum(p: float, alpha: float, a1: float, b1: float,
                          a2: float, b2: float, theta: float,
                          policy: TruncationPolicy) -> bilateral.SeriesEvaluation:
     """sum_n [a1; b1+alpha n]_p [a2; b2+alpha n]_p p^(alpha n(n-1) + theta n)."""
-    c1 = multibasic_binomial_consts(a1, p, policy)
-    c2 = multibasic_binomial_consts(a2, p, policy)
-    gauss = alpha * math.log(1.0 / p)
-    n_min = _asymptotic_start(p ** (-abs(theta) - alpha), gauss, policy.eps)
+    f1 = _binomial_factor(a1, b1, alpha, p)
+    f2 = _binomial_factor(a2, b2, alpha, p)
+    # Four-product terms over the base pair (p, q = p^alpha) at z = p^theta.
+    pairs = ((p ** (a1 - b1 + 1.0), p ** (b1 + 1.0)),
+             (p ** (a2 - b2 + 1.0), p ** (b2 + 1.0)))
+    decay = _bailey_decay(p ** alpha, alpha, pairs, p ** theta)
 
-    def term(n: int) -> complex:
-        w = p ** (alpha * n * (n - 1) + theta * n)
-        if w == 0.0:
-            return 0.0
-        return (multibasic_binomial(a1, b1, alpha, p, n, policy, c1)
-                * multibasic_binomial(a2, b2, alpha, p, n, policy, c2) * w)
+    def term(n: np.ndarray) -> np.ndarray:
+        w = np.power(p, alpha * n * (n - 1) + theta * n)
+        return _masked_terms(w, n, lambda m: f1(m) * f2(m))
 
-    return _sum_pairs(term, policy, n_min)
+    return _sum_pairs(term, decay, policy)
 
 
 def _arm_bailey_binomial(params, policy, spec):
@@ -382,10 +377,8 @@ def _arm_base_integral(params, policy, spec):
 def _arm_triple_product(params, policy, spec):
     z, q = complex(params["z"]), complex(params["q"])
     lhs = theta_product(z, q, policy)
-    gauss = 0.5 * math.log(1.0 / abs(q))
-    n_min = _asymptotic_start(max(abs(z), 1.0 / abs(z)), gauss, policy.eps)
-    term = lambda n: z ** n * q ** (n * (n - 1) // 2)
-    ev = _sum_pairs(term, policy, n_min)
+    term = lambda n: np.power(z, n) * np.power(q, n * (n - 1) // 2)
+    ev = _sum_pairs(term, _gaussian_decay(q, 0.0, z=z), policy)
     return lhs, ev.value, {}, _series_diag(ev)
 
 
@@ -417,35 +410,6 @@ _DISPATCH = {
     IdentityId.TripleProduct: _arm_triple_product,
     IdentityId.PoissonVanishing: _arm_poisson,
 }
-
-
-def verify_qbinomial_form(a: float, b: float, alpha: float, p: float,
-                          z: complex, tol: float | None = None,
-                          policy: TruncationPolicy | None = None,
-                          spec: QuadratureSpec | None = None) -> IdentityReport:
-    return verify(IdentityId.QBinomialForm,
-                  {"a": a, "b": b, "alpha": alpha, "p": p, "z": z},
-                  tol=tol, policy=policy, spec=spec)
-
-
-def verify_bailey_binomial(params: Mapping[str, Any],
-                           tol: float | None = None,
-                           policy: TruncationPolicy | None = None,
-                           spec: QuadratureSpec | None = None) -> IdentityReport:
-    return verify(IdentityId.BaileyBinomial, params, tol=tol, policy=policy,
-                  spec=spec)
-
-
-def verify_multibasic(params: Mapping[str, Any] | MultibasicParams,
-                      tol: float | None = None,
-                      policy: TruncationPolicy | None = None,
-                      spec: QuadratureSpec | None = None) -> IdentityReport:
-    if isinstance(params, MultibasicParams):
-        params = {"p1": params.p1, "p2": params.p2, "q": params.q,
-                  "a1": params.a1, "b1": params.b1, "a2": params.a2,
-                  "b2": params.b2, "z": params.z}
-    return verify(IdentityId.Multibasic, params, tol=tol, policy=policy,
-                  spec=spec)
 
 
 def expand_grid(grid: Mapping[str, list]) -> list[dict[str, Any]]:

@@ -94,6 +94,94 @@ class QParams:
         object.__setattr__(self, "omega", -math.log(ap))
 
 
+@dataclass(frozen=True)
+class SeriesParams:
+    """Parameter point (a, b, z) over a base pair for the bilateral sums."""
+
+    qp: QParams
+    a: complex
+    b: complex
+    z: complex
+
+    def __post_init__(self) -> None:
+        if self.z == 0:
+            raise InvalidParams("z must be nonzero")
+
+
+@dataclass(frozen=True)
+class BaileyParams:
+    """Parameters of the four-product bilateral transformation."""
+
+    qp: QParams
+    a1: complex
+    a2: complex
+    b1: complex
+    b2: complex
+    z: complex
+
+    def __post_init__(self) -> None:
+        if self.z == 0:
+            raise InvalidParams("z must be nonzero")
+
+
+@dataclass(frozen=True)
+class MultibasicParams:
+    """Two bases p1, p2 tied to a common q = p1^alpha1 = p2^alpha2.
+
+    The q-binomial in base pj steps by alphaj so that pj^(alphaj n) = q^n;
+    convergence of the paired sum/integral requires alpha1 + alpha2 < 1.
+    A second coefficient with a2 = b2 = 0 denotes the degenerate single-base
+    reduction (constant second factor).
+    """
+
+    p1: complex
+    p2: complex
+    q: complex
+    a1: float
+    b1: float
+    a2: float
+    b2: float
+    z: complex
+    alpha1: float = field(init=False)
+    alpha2: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        for name, p in (("p1", self.p1), ("p2", self.p2), ("q", self.q)):
+            if not 0.0 < abs(p) < 1.0:
+                raise InvalidParams(f"need 0 < |{name}| < 1, got {abs(p)}")
+        if self.z == 0:
+            raise InvalidParams("z must be nonzero")
+        a1 = math.log(abs(self.q)) / math.log(abs(self.p1))
+        a2 = math.log(abs(self.q)) / math.log(abs(self.p2))
+        object.__setattr__(self, "alpha1", a1)
+        object.__setattr__(self, "alpha2", a2)
+        if self.trivial_second:
+            a2 = 0.0
+        if not (a1 > 0.0 and a2 >= 0.0 and a1 + a2 < 1.0):
+            raise InvalidParams(
+                f"need alpha1 + alpha2 < 1, got {a1 + a2}"
+            )
+
+    @property
+    def trivial_second(self) -> bool:
+        return self.a2 == 0.0 and self.b2 == 0.0
+
+    @property
+    def alpha_sum(self) -> float:
+        return self.alpha1 + (0.0 if self.trivial_second else self.alpha2)
+
+    @classmethod
+    def from_alpha_sum(cls, p1: complex, p2: complex, alpha_sum: float,
+                       a1: float, b1: float, a2: float, b2: float,
+                       z: complex) -> "MultibasicParams":
+        """Fix q so that ln q / ln p1 + ln q / ln p2 = alpha_sum."""
+        if not 0.0 < alpha_sum < 1.0:
+            raise InvalidParams(f"need 0 < alpha_sum < 1, got {alpha_sum}")
+        lnq = alpha_sum / (1.0 / math.log(abs(p1)) + 1.0 / math.log(abs(p2)))
+        return cls(p1=p1, p2=p2, q=math.exp(lnq),
+                   a1=a1, b1=b1, a2=a2, b2=b2, z=z)
+
+
 def qpoch_finite(a: complex, q: complex, n: int) -> complex:
     """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k)."""
     if n < 0:
@@ -192,6 +280,13 @@ def _principal_power(base: complex, expo: complex) -> complex:
     if base == 0:
         raise ZeroArgument("0 raised to a complex power")
     return cmath.exp(complex(expo) * cmath.log(complex(base)))
+
+
+def _cpow(base: complex, expo: complex) -> complex:
+    """base**expo, exact for integer exponents, else the principal branch."""
+    if isinstance(expo, int) or (isinstance(expo, float) and expo.is_integer()):
+        return complex(base) ** int(expo)
+    return _principal_power(base, expo)
 
 
 def qgamma(x: complex, q: complex, policy: TruncationPolicy) -> complex:

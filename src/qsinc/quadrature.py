@@ -1,10 +1,16 @@
-"""Trapezoid quadrature for Gaussian-decaying integrands on the real line.
+"""Vectorized integrands and trapezoid quadrature on the real line.
 
 All dt/t integrals over (0, inf) are computed in log-substituted coordinates
-t = q^zeta, where the integrands become smooth with certified decay
-r^|zeta| e^(-g zeta^2).  For such integrands the refined trapezoid rule on a
-truncated symmetric window converges spectrally; the error estimate is the
-difference of the last two refinement levels.
+t = q^zeta, where the integrands become smooth with decay r^|zeta|
+e^(-g zeta^2).  The sum-equals-integral theorem says that the sum over Z is
+the trapezoid rule at h = 1 applied to the integrand of the integral over R,
+so each identity defines its integrand once, here.  The series side
+(bilateral) evaluates it on the integer nodes; the integral side evaluates it
+on the lattice h (k + 1/3), whose midpoint refinements alternate the offset
+between 1/3 and 2/3 and so never reach an integer: the two sides share code
+but no samples.  For such integrands the refined trapezoid rule on a
+truncated window converges spectrally; the error estimate is the difference
+of the last two refinement levels.
 """
 
 from __future__ import annotations
@@ -15,9 +21,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bilateral import MultibasicParams, SeriesParams, _cpow
 from .errors import DomainError, InvalidDecay, InvalidParams, QuadratureFailure
-from .qcore import TruncationPolicy, qpoch_inf, qpoch_inf_large, qpoch_inf_vec
+from .qcore import (
+    MultibasicParams,
+    SeriesParams,
+    TruncationPolicy,
+    _cpow,
+    qpoch_inf,
+    qpoch_inf_large,
+    qpoch_inf_vec,
+)
 from .util import fsum_complex
 
 # Safety factor on the computed truncation radius; absorbs the O(1)
@@ -25,6 +38,10 @@ from .util import fsum_complex
 _RADIUS_SAFETY = 1.25
 
 _VEC_EPS = 1e-16
+
+# Scalar constants of the integrands are certified to the same target as the
+# vectorized products.
+_POLICY = TruncationPolicy(eps=_VEC_EPS)
 
 
 @dataclass(frozen=True)
@@ -56,13 +73,28 @@ class QuadratureResult:
     nodes_used: int = 0
 
 
-def _truncation_radius(gauss_rate: float, growth_ratio: float,
-                       eps: float) -> float:
-    """Z with r^Z exp(-g Z^2) < eps/10, padded by the safety factor."""
-    lr = max(math.log(max(growth_ratio, 1.0)), 0.0)
-    le = math.log(10.0 / eps)
-    z = (lr + math.sqrt(lr * lr + 4.0 * gauss_rate * le)) / (2.0 * gauss_rate)
-    return _RADIUS_SAFETY * z
+def _gaussian_decay(q: complex, alpha: float, a: complex = 0.0,
+                    b: complex = 0.0, z: complex = 1.0) -> tuple[float, float]:
+    """Decay (g, r) of (b q^x, a q^-x; p)_inf / (-z q^x, -q^(1-x)/z; q)_inf.
+
+    The numerator grows like |q|^(-alpha x^2 / 2) (alpha = ln|q| / ln|p|)
+    against the denominator's |q|^(-x^2 / 2); r bounds the linear-in-x growth
+    ratios of the tails, with floor 1/|q|.
+    """
+    aq = abs(q)
+    g = 0.5 * (1.0 - alpha) * math.log(1.0 / aq)
+    az = abs(z)
+    r_plus = az * (abs(a) ** alpha if a != 0 else 1.0) / aq
+    r_minus = (abs(b) ** alpha if b != 0 else 1.0) / az
+    return g, max(r_plus, r_minus, 1.0 / aq)
+
+
+def _decay_radius(decay: tuple[float, float], eps: float) -> float:
+    """X beyond which r^|x| exp(-g x^2) stays below eps."""
+    g, r = decay
+    lr = math.log(max(r, 1.0))
+    le = math.log(1.0 / eps)
+    return (lr + math.sqrt(lr * lr + 4.0 * g * le)) / (2.0 * g)
 
 
 def integrate_gaussian_decay(integrand, decay: tuple[float, float],
@@ -70,25 +102,31 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
     """Integrate f over R given the decay model |f| = O(r^|x| e^(-g x^2)).
 
     integrand must accept a numpy array of real nodes and return complex
-    values.  decay = (g, r) with g > 0 in natural-log units.
+    values.  decay = (g, r) with g > 0 in natural-log units.  No node is an
+    integer, so the integral never samples the series' lattice.
     """
     g, r = decay
     if g <= 0.0:
         raise InvalidDecay(f"Gaussian rate must be positive, got {g}")
-    z = max(spec.half_width, _truncation_radius(g, r, spec.eps))
+    z = max(spec.half_width,
+            _RADIUS_SAFETY * _decay_radius(decay, spec.eps / 10.0))
+    # Nodes h (k + off/3), k in [-npts, npts]; midpoints turn offset 1 into 2
+    # and 2 into 1 at half the spacing.
+    h = 1.0 / spec.nodes_per_unit
+    off = 1
 
-    # Domain-truncation certificate: boundary values must be negligible.
+    # Domain-truncation certificate: the outermost nodes must be negligible.
     for _ in range(4):
-        edge = np.max(np.abs(integrand(np.array([-z, z]))))
+        npts = math.ceil(z / h)
+        ends = h * (np.array([-npts, npts]) + off / 3)
+        edge = np.max(np.abs(integrand(ends)))
         if edge <= spec.eps / 10.0:
             break
         z *= 1.25
 
-    h = 1.0 / spec.nodes_per_unit
-    npts = int(math.ceil(z / h))
-    xs = h * np.arange(-npts, npts + 1)
-    total = fsum_complex(integrand(xs))
-    nodes = xs.size
+    npts = math.ceil(z / h)
+    total = fsum_complex(integrand(h * (np.arange(-npts, npts + 1) + off / 3)))
+    nodes = 2 * npts + 1
     value = h * total
     prev = None
     for level in range(spec.max_refinements + 1):
@@ -101,17 +139,115 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
                                         nodes_used=nodes)
         if level == spec.max_refinements:
             break
-        mids = h * np.arange(-npts, npts) + h / 2.0
+        mids = h * (np.arange(-npts, npts) + off / 3 + 0.5)
         total = total + fsum_complex(integrand(mids))
         nodes += mids.size
         h /= 2.0
         npts *= 2
+        off = 2 * off % 3
         prev = value
         value = h * total
     raise QuadratureFailure(
         f"error estimate {abs(value - prev):.2e} above eps={spec.eps} "
         f"after {spec.max_refinements} refinements"
     )
+
+
+def _qpoch_pair(u: np.ndarray, v: np.ndarray, base: complex) -> np.ndarray:
+    """(u, v; base)_inf elementwise."""
+    return qpoch_inf_vec(u, base, _VEC_EPS) * qpoch_inf_vec(v, base, _VEC_EPS)
+
+
+def _require_off_negative_axis(z: complex) -> None:
+    z = complex(z)
+    if z.imag == 0.0 and z.real < 0.0:
+        raise InvalidParams(f"z={z} lies on the negative real axis")
+
+
+def _theta_denominator(z: complex, q: complex):
+    """x -> (-z q^x, -q^(1-x)/z; q)_inf."""
+    lnq = cmath.log(q)
+
+    def den(x: np.ndarray) -> np.ndarray:
+        zqx = z * np.exp(x * lnq)
+        return _qpoch_pair(-zqx, -q / zqx, q)
+
+    return den
+
+
+def _symmetric_integrand(params: SeriesParams):
+    """x -> (b q^x, a q^-x; p)_inf / (-z q^x, -q^(1-x)/z; q)_inf."""
+    qp = params.qp
+    qc, pc = complex(qp.q), complex(qp.p)
+    a, b = complex(params.a), complex(params.b)
+    lnq = cmath.log(qc)
+    den = _theta_denominator(complex(params.z), qc)
+
+    def f(x: np.ndarray) -> np.ndarray:
+        qx = np.exp(x * lnq)
+        return _qpoch_pair(b * qx, a / qx, pc) / den(x)
+
+    return f
+
+
+def _symmetric_decay(params: SeriesParams) -> tuple[float, float]:
+    qp = params.qp
+    return _gaussian_decay(qp.q, qp.alpha, params.a, params.b, params.z)
+
+
+def _weighted_integrand(params: SeriesParams, m: int):
+    """x -> symmetric integrand times q^(mx)."""
+    base = _symmetric_integrand(params)
+    lnq = cmath.log(complex(params.qp.q))
+    return lambda x: base(x) * np.exp(m * x * lnq)
+
+
+def _weighted_decay(params: SeriesParams, m: int) -> tuple[float, float]:
+    g, r = _symmetric_decay(params)
+    return g, r / abs(params.qp.q) ** abs(m)
+
+
+def _fourier_integrand(params: SeriesParams, y: float):
+    """x -> symmetric integrand times e^(ixy)."""
+    base = _symmetric_integrand(params)
+    return lambda x: base(x) * np.exp(1j * y * x)
+
+
+def _binomial_factor(a: float, b_off: float, alpha: float, p: complex):
+    """x -> [a; b_off + alpha x]_p as a ratio of infinite products."""
+    pc = complex(p)
+    lnp = cmath.log(pc)
+    const = (qpoch_inf(pc, pc, _POLICY)
+             * qpoch_inf(_cpow(pc, a + 1.0), pc, _POLICY))
+    e1, e2 = _cpow(pc, b_off + 1.0), _cpow(pc, a - b_off + 1.0)
+
+    def factor(x: np.ndarray) -> np.ndarray:
+        px = np.exp(alpha * x * lnp)
+        return _qpoch_pair(e1 * px, e2 / px, pc) / const
+
+    return factor
+
+
+def _multibasic_integrand(params: MultibasicParams):
+    """x -> [a1; b1 + alpha1 x]_p1 [a2; b2 + alpha2 x]_p2
+    / (-z q^x, -q^(1-x)/z; q)_inf, the second factor dropped when trivial."""
+    f1 = _binomial_factor(params.a1, params.b1, params.alpha1, params.p1)
+    f2 = None
+    if not params.trivial_second:
+        f2 = _binomial_factor(params.a2, params.b2, params.alpha2, params.p2)
+    den = _theta_denominator(complex(params.z), complex(params.q))
+
+    def f(x: np.ndarray) -> np.ndarray:
+        v = f1(x)
+        if f2 is not None:
+            v = v * f2(x)
+        return v / den(x)
+
+    return f
+
+
+def _multibasic_decay(params: MultibasicParams) -> tuple[float, float]:
+    return _gaussian_decay(params.q, params.alpha_sum, z=params.z)
 
 
 def base_integral(q: complex, spec: QuadratureSpec,
@@ -125,28 +261,10 @@ def base_integral(q: complex, spec: QuadratureSpec,
         )
     if not 0.0 < abs(qc) < 1.0:
         raise InvalidParams(f"need 0 < |q| < 1, got {abs(qc)}")
-    lnq = cmath.log(qc)
-    scale = -lnq  # ln(1/q)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        qx = np.exp(x * lnq)
-        den = (qpoch_inf_vec(-qx, qc, _VEC_EPS)
-               * qpoch_inf_vec(-qc / qx, qc, _VEC_EPS))
-        return scale / den
-
-    g = 0.5 * math.log(1.0 / abs(qc))
-    r = 1.0 / abs(qc)
-    return integrate_gaussian_decay(f, (g, r), spec)
-
-
-def _series_decay(params: SeriesParams) -> tuple[float, float]:
-    qp = params.qp
-    aq = abs(qp.q)
-    g = 0.5 * (1.0 - qp.alpha) * math.log(1.0 / aq)
-    az = abs(params.z)
-    r_plus = az * (abs(params.a) ** qp.alpha if params.a != 0 else 1.0) / aq
-    r_minus = (abs(params.b) ** qp.alpha if params.b != 0 else 1.0) / az
-    return g, max(r_plus, r_minus, 1.0 / aq)
+    scale = -cmath.log(qc)  # ln(1/q)
+    den = _theta_denominator(1.0, qc)
+    return integrate_gaussian_decay(lambda x: scale / den(x),
+                                    _gaussian_decay(qc, 0.0), spec)
 
 
 def main_integral(params: SeriesParams, spec: QuadratureSpec,
@@ -163,51 +281,22 @@ def main_integral(params: SeriesParams, spec: QuadratureSpec,
             f"Re z must be positive (got z={z}); pass continuation to override"
         )
     qp = params.qp
-    qc, pc = complex(qp.q), complex(qp.p)
-    a, b = complex(params.a), complex(params.b)
-    lnq = cmath.log(qc)
-    policy = TruncationPolicy()
-    pref = (qpoch_inf_large(-z, qc, policy)
-            * qpoch_inf_large(-qc / z, qc, policy))
-
-    def f(x: np.ndarray) -> np.ndarray:
-        qx = np.exp(x * lnq)
-        num = (qpoch_inf_vec(b * qx / z, pc, _VEC_EPS)
-               * qpoch_inf_vec(a * z / qx, pc, _VEC_EPS))
-        den = (qpoch_inf_vec(-qx, qc, _VEC_EPS)
-               * qpoch_inf_vec(-qc / qx, qc, _VEC_EPS))
-        return num / den
-
-    res = integrate_gaussian_decay(f, _series_decay(params), spec)
+    qc = complex(qp.q)
+    pref = (qpoch_inf_large(-z, qc, _POLICY)
+            * qpoch_inf_large(-qc / z, qc, _POLICY))
+    f = _symmetric_integrand(replace(params, a=params.a * z,
+                                     b=params.b / z, z=1.0))
+    res = integrate_gaussian_decay(f, _symmetric_decay(params), spec)
     return replace(res, value=pref * res.value,
                    error_estimate=abs(pref) * res.error_estimate)
-
-
-def _symmetric_integrand(params: SeriesParams):
-    qp = params.qp
-    qc, pc = complex(qp.q), complex(qp.p)
-    a, b, z = complex(params.a), complex(params.b), complex(params.z)
-    lnq = cmath.log(qc)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        qx = np.exp(x * lnq)
-        num = (qpoch_inf_vec(b * qx, pc, _VEC_EPS)
-               * qpoch_inf_vec(a / qx, pc, _VEC_EPS))
-        den = (qpoch_inf_vec(-z * qx, qc, _VEC_EPS)
-               * qpoch_inf_vec(-qc / (z * qx), qc, _VEC_EPS))
-        return num / den
-
-    return f
 
 
 def symmetric_integral(params: SeriesParams,
                        spec: QuadratureSpec) -> QuadratureResult:
     """Integral side of the symmetric sum-equals-integral identity."""
-    z = complex(params.z)
-    if z.imag == 0.0 and z.real < 0.0:
-        raise InvalidParams(f"z={z} lies on the negative real axis")
+    _require_off_negative_axis(params.z)
     return integrate_gaussian_decay(_symmetric_integrand(params),
-                                    _series_decay(params), spec)
+                                    _symmetric_decay(params), spec)
 
 
 def fourier_integral(params: SeriesParams, y: float,
@@ -215,12 +304,11 @@ def fourier_integral(params: SeriesParams, y: float,
     """Fourier transform int_R g(x) e^(ixy) dx of the z=1 symmetric integrand."""
     if params.z != 1:
         raise InvalidParams("fourier_integral is defined at z = 1")
-    base = _symmetric_integrand(params)
-    f = lambda x: base(x) * np.exp(1j * y * x)
     density = int(math.ceil(spec.nodes_per_unit
                             * max(1.0, abs(y) / (2.0 * math.pi))))
     spec = replace(spec, nodes_per_unit=density)
-    return integrate_gaussian_decay(f, _series_decay(params), spec)
+    return integrate_gaussian_decay(_fourier_integrand(params, y),
+                                    _symmetric_decay(params), spec)
 
 
 def weighted_integral(params: SeriesParams, m: int,
@@ -228,53 +316,13 @@ def weighted_integral(params: SeriesParams, m: int,
     """int_R g(x) q^(mx) dx for the z=1 symmetric integrand, m integer."""
     if params.z != 1:
         raise InvalidParams("weighted_integral is defined at z = 1")
-    qc = complex(params.qp.q)
-    lnq = cmath.log(qc)
-    base = _symmetric_integrand(params)
-    f = lambda x: base(x) * np.exp(m * x * lnq)
-    g, r = _series_decay(params)
-    return integrate_gaussian_decay(f, (g, r / abs(qc) ** abs(m)), spec)
+    return integrate_gaussian_decay(_weighted_integrand(params, m),
+                                    _weighted_decay(params, m), spec)
 
 
 def multibasic_integral(params: MultibasicParams,
                         spec: QuadratureSpec) -> QuadratureResult:
     """Integral side of the two-base q-binomial identity."""
-    z = complex(params.z)
-    if z.imag == 0.0 and z.real < 0.0:
-        raise InvalidParams(f"z={z} lies on the negative real axis")
-    qc = complex(params.q)
-    lnq = cmath.log(qc)
-    policy = TruncationPolicy()
-
-    def binomial_factor(a, b_off, alpha, p):
-        pc = complex(p)
-        lnp = cmath.log(pc)
-        const = (qpoch_inf(pc, pc, policy)
-                 * qpoch_inf(_cpow(pc, a + 1.0), pc, policy))
-
-        def factor(x: np.ndarray) -> np.ndarray:
-            px = np.exp(alpha * x * lnp)
-            e1 = _cpow(pc, b_off + 1.0) * px
-            e2 = _cpow(pc, a - b_off + 1.0) / px
-            return (qpoch_inf_vec(e1, pc, _VEC_EPS)
-                    * qpoch_inf_vec(e2, pc, _VEC_EPS)) / const
-
-        return factor
-
-    f1 = binomial_factor(params.a1, params.b1, params.alpha1, params.p1)
-    f2 = None
-    if not params.trivial_second:
-        f2 = binomial_factor(params.a2, params.b2, params.alpha2, params.p2)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        qx = np.exp(x * lnq)
-        v = f1(x)
-        if f2 is not None:
-            v = v * f2(x)
-        den = (qpoch_inf_vec(-z * qx, qc, _VEC_EPS)
-               * qpoch_inf_vec(-qc / (z * qx), qc, _VEC_EPS))
-        return v / den
-
-    g = 0.5 * (1.0 - params.alpha_sum) * math.log(1.0 / abs(qc))
-    r = max(abs(z), 1.0 / abs(z)) / abs(qc)
-    return integrate_gaussian_decay(f, (g, r), spec)
+    _require_off_negative_axis(params.z)
+    return integrate_gaussian_decay(_multibasic_integrand(params),
+                                    _multibasic_decay(params), spec)

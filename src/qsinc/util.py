@@ -1,46 +1,18 @@
-"""Small numeric helpers: compensated accumulation and complex parsing."""
+"""Small numeric helpers: exact summation and complex parsing."""
 
 from __future__ import annotations
 
 import math
 import re
 
-
-class KahanSum:
-    """Neumaier-compensated accumulator for complex values."""
-
-    __slots__ = ("_sr", "_cr", "_si", "_ci")
-
-    def __init__(self) -> None:
-        self._sr = 0.0
-        self._cr = 0.0
-        self._si = 0.0
-        self._ci = 0.0
-
-    def add(self, value: complex) -> None:
-        v = complex(value)
-        self._sr, self._cr = _neumaier_step(self._sr, self._cr, v.real)
-        self._si, self._ci = _neumaier_step(self._si, self._ci, v.imag)
-
-    @property
-    def value(self) -> complex:
-        return complex(self._sr + self._cr, self._si + self._ci)
-
-
-def _neumaier_step(s: float, c: float, x: float) -> tuple[float, float]:
-    t = s + x
-    if abs(s) >= abs(x):
-        c += (s - t) + x
-    else:
-        c += (x - t) + s
-    return t, c
+import numpy as np
 
 
 def fsum_complex(values) -> complex:
-    """Exact-ish sum of an iterable of complex values (fsum on each part)."""
-    vals = [complex(v) for v in values]
-    return complex(math.fsum(v.real for v in vals),
-                   math.fsum(v.imag for v in vals))
+    """Exact-ish sum of an array of complex values (fsum on each part)."""
+    vals = np.asarray(values, dtype=complex)
+    return complex(math.fsum(vals.real.tolist()),
+                   math.fsum(vals.imag.tolist()))
 
 
 _COMPLEX_RE = re.compile(

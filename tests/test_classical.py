@@ -6,6 +6,7 @@ import math
 import pytest
 
 from qsinc import (
+    IdentityId,
     IndeterminateRatio,
     InvalidParams,
     OslerParams,
@@ -16,9 +17,9 @@ from qsinc import (
     binomial_real,
     classical_integral,
     classical_sum,
-    classical_sum_eq_integral,
     gamma_classical,
     osler_sum,
+    verify,
 )
 
 from conftest import rel_err
@@ -120,15 +121,19 @@ class TestClassicalSumInt:
         assert rel_err(s, i) < 1e-6
 
     def test_report_helper(self, policy):
-        report = classical_sum_eq_integral(2.0, 1.0, 2, policy)
+        report = verify(IdentityId.ClassicalSumInt,
+                        {"a": 2.0, "alpha": 1.0, "l": 2}, policy=policy)
         assert report.passed
         assert report.params["l"] == 2
         assert "tail_estimate" in report.lhs_diag
 
     def test_hypothesis_guards(self, policy):
         with pytest.raises(InvalidParams):
-            classical_sum_eq_integral(-1.0, 1.0, 2, policy)
+            verify(IdentityId.ClassicalSumInt,
+                   {"a": -1.0, "alpha": 1.0, "l": 2}, policy=policy)
         with pytest.raises(InvalidParams):
-            classical_sum_eq_integral(2.0, 1.5, 2, policy)
+            verify(IdentityId.ClassicalSumInt,
+                   {"a": 2.0, "alpha": 1.5, "l": 2}, policy=policy)
         with pytest.raises(InvalidParams):
-            classical_sum_eq_integral(2.0, 1.0, 0, policy)
+            verify(IdentityId.ClassicalSumInt,
+                   {"a": 2.0, "alpha": 1.0, "l": 0}, policy=policy)

@@ -14,9 +14,6 @@ from qsinc import (
     make_report,
     sweep,
     verify,
-    verify_bailey_binomial,
-    verify_multibasic,
-    verify_qbinomial_form,
 )
 from qsinc.identities import DEFAULT_TOL, expand_grid
 
@@ -73,16 +70,18 @@ class TestVerify:
 
     def test_qbinomial_alpha_guard(self):
         with pytest.raises(InvalidParams):
-            verify_qbinomial_form(2.0, 1.0, 1.2, 0.36, 1.0)
+            verify(IdentityId.QBinomialForm,
+                   {"a": 2.0, "b": 1.0, "alpha": 1.2, "p": 0.36, "z": 1.0})
 
     def test_multibasic_constraint_guard(self):
         with pytest.raises(InvalidParams):
-            verify_multibasic({"p1": 0.5, "p2": 0.5, "q": 0.45, "a1": 2,
-                               "b1": 1, "a2": 3, "b2": 1, "z": 1.0})
+            verify(IdentityId.Multibasic,
+                   {"p1": 0.5, "p2": 0.5, "q": 0.45, "a1": 2, "b1": 1,
+                    "a2": 3, "b2": 1, "z": 1.0})
 
     def test_bailey_binomial_theta_zero_trivial(self):
         params = dict(_POINTS[IdentityId.BaileyBinomial], theta=0.0)
-        report = verify_bailey_binomial(params)
+        report = verify(IdentityId.BaileyBinomial, params)
         assert report.passed
         assert report.abs_err < 1e-13  # both sides are the same sum
 

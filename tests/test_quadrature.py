@@ -65,6 +65,21 @@ class TestGaussianDecay:
         res2 = integrate_gaussian_decay(f, (1.0, 1.0), wide)
         assert abs(res.value - res2.value) < spec.eps / 5
 
+    def test_nodes_avoid_the_integers(self):
+        # The series samples the integrand on Z; the integral must not.
+        seen = []
+
+        def f(x):
+            seen.append(np.array(x, dtype=float))
+            return np.exp(-64.0 * x * x)
+
+        res = integrate_gaussian_decay(f, (64.0, 1.0),
+                                       QuadratureSpec(nodes_per_unit=8))
+        assert res.refinements_used >= 1
+        nodes = np.concatenate(seen)
+        assert nodes.size == res.nodes_used + 2  # plus the two edge probes
+        assert np.min(np.abs(nodes - np.round(nodes))) > 1e-3
+
     def test_spec_validation(self):
         with pytest.raises(InvalidParams):
             QuadratureSpec(half_width=0.0)
