@@ -30,7 +30,6 @@ from .errors import (
     InvalidGrid,
     InvalidParams,
     KernelPole,
-    LatticePole,
     NoConvergence,
     PoleAtNonpositiveInteger,
     QsincError,
@@ -43,7 +42,6 @@ from .identities import (
     IdentityId,
     IdentityReport,
     make_report,
-    sweep,
     sweep_points,
     verify,
 )

@@ -25,6 +25,8 @@ from .qcore import (
     QParams,
     SeriesParams,
     TruncationPolicy,
+    _vanishing_factor,
+    qpoch_finite,
     qpoch_inf,
     qpoch_inf_large,
 )
@@ -131,15 +133,16 @@ def _bailey_decay(q: complex, alpha: float, pairs,
 
 
 def _check_denominator_factors(z: complex, q: complex) -> None:
-    """Reject z for which some factor 1 + z q^m (m in Z) vanishes."""
-    az, aq = abs(z), abs(q)
-    m0 = round(-math.log(az) / math.log(aq)) if az > 0 else 0
-    for m in range(m0 - 3, m0 + 4):
-        f = 1.0 + complex(z) * complex(q) ** m
-        if abs(f) < 1e-12:
-            raise DenominatorZero(
-                f"denominator factor 1 + z q^{m} vanishes (z={z})"
-            )
+    """Reject z for which some factor 1 + z q^m (m in Z) vanishes.
+
+    The factors 1 + q^m / z of the same denominators are covered too: one
+    vanishes exactly when 1 + z q^-m does.
+    """
+    m = _vanishing_factor(-complex(z), q)
+    if m is not None:
+        raise DenominatorZero(
+            f"denominator factor 1 + z q^{m} vanishes (z={z})"
+        )
 
 
 def main_series(params: SeriesParams,
@@ -153,9 +156,7 @@ def symmetric_series(params: SeriesParams,
                      policy: TruncationPolicy) -> SeriesEvaluation:
     """Bilateral sum of (b q^n, a q^-n; p)_inf / (-z q^n, -q^(1-n)/z; q)_inf."""
     _require_off_negative_axis(params.z)
-    q = params.qp.q
-    _check_denominator_factors(params.z, q)
-    _check_denominator_factors(complex(q) / complex(params.z), q)
+    _check_denominator_factors(params.z, params.qp.q)
     return _sum_pairs(_symmetric_integrand(params), _symmetric_decay(params),
                       policy)
 
@@ -236,14 +237,8 @@ def appell_lerch_rhs(a: complex, q: complex,
     # A theta-type sum in base q^2: terms ~ (1/|a|)^n q^(n^2+n).
     decay = _gaussian_decay(q2, 0.0, z=a)
 
-    # Locate a (near-)pole of 1 - a q^(2n+1) on the summed lattice.
-    n_star = None
-    n_probe = round((-math.log(abs(a)) / math.log(aq) - 1.0) / 2.0)
-    for n in range(n_probe - 2, n_probe + 3):
-        u = 1.0 - a * q ** (2 * n + 1)
-        if abs(u) < 1e-13 * (1.0 + abs(a * q ** (2 * n + 1))):
-            n_star = n
-            break
+    # A (near-)pole of 1 - a q^(2n+1) = 1 - (a q) (q^2)^n on the lattice.
+    n_star = _vanishing_factor(a * q, q2)
 
     def bare(n):
         return np.power(-1.0 / a, n) * np.power(q, n * n + n)
@@ -264,29 +259,19 @@ def appell_lerch_rhs(a: complex, q: complex,
     c = complex(bare(n_star))
     ev = _sum_pairs(term, decay, policy, abs(n_star) + 2)
     if n_star >= 0:
-        # u is literally factor n_star of (qa; q^2)_inf.
+        # u is literally factor n_star of (qa; q^2)_inf; leave it out.
         pref = 2.0 * qpoch_inf_large(q / a, q2, policy) \
-            * _qpoch_skip_factor(q * a, q2, n_star, policy)
+            * qpoch_finite(q * a, q2, n_star) \
+            * qpoch_inf_large(q * a * q2 ** (n_star + 1), q2, policy)
         value = pref * (u * ev.value + c)
     else:
-        # Factor -(n_star+1) of (q/a; q^2)_inf equals -u/(1-u).
+        # Factor -(n_star+1) of (q/a; q^2)_inf equals -u/(1-u); leave it out.
         k_star = -(n_star + 1)
         pref = 2.0 * qpoch_inf_large(q * a, q2, policy) \
-            * _qpoch_skip_factor(q / a, q2, k_star, policy)
+            * qpoch_finite(q / a, q2, k_star) \
+            * qpoch_inf_large(q / a * q2 ** (k_star + 1), q2, policy)
         value = pref * ((-u / (1.0 - u)) * ev.value - c / (1.0 - u))
     return replace(ev, value=value, tail_estimate=abs(pref) * ev.tail_estimate)
-
-
-def _qpoch_skip_factor(a: complex, q: complex, skip: int,
-                       policy: TruncationPolicy) -> complex:
-    """(a;q)_inf with the factor at index `skip` divided out."""
-    full_head_len = max(skip + 1, 0)
-    head = 1.0 + 0.0j
-    for k in range(full_head_len):
-        if k != skip:
-            head *= 1.0 - complex(a) * complex(q) ** k
-    return head * qpoch_inf_large(complex(a) * complex(q) ** full_head_len,
-                                  q, policy)
 
 
 def multibasic_series(params: MultibasicParams,
@@ -294,6 +279,5 @@ def multibasic_series(params: MultibasicParams,
     """Bilateral sum of the two-base q-binomial terms."""
     _require_off_negative_axis(params.z)
     _check_denominator_factors(params.z, params.q)
-    _check_denominator_factors(complex(params.q) / complex(params.z), params.q)
     return _sum_pairs(_multibasic_integrand(params), _multibasic_decay(params),
                       policy)

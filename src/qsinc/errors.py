@@ -53,9 +53,5 @@ class DenominatorZero(QsincError):
     """A factor of a denominator infinite product vanishes."""
 
 
-class LatticePole(QsincError):
-    """A bilateral-sum term sits on a non-removable pole of its denominator."""
-
-
 class KernelPole(QsincError):
     """The sinh kernel prefactor is evaluated at its pole."""

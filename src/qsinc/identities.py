@@ -327,8 +327,6 @@ def _arm_bailey_binomial(params, policy, spec):
 
 
 def _multibasic_params(params: Mapping[str, Any]) -> MultibasicParams:
-    if isinstance(params, MultibasicParams):
-        return params
     kwargs = dict(p1=params["p1"], p2=params["p2"], a1=params["a1"],
                   b1=params["b1"], a2=params["a2"], b2=params["b2"],
                   z=params.get("z", 1.0))
@@ -421,24 +419,15 @@ def expand_grid(grid: Mapping[str, list]) -> list[dict[str, Any]]:
             for combo in itertools.product(*(grid[k] for k in keys))]
 
 
-def sweep(ident: IdentityId, grid: Mapping[str, list],
-          tol: float | None = None, policy: TruncationPolicy | None = None,
-          spec: QuadratureSpec | None = None,
-          threads: int = 1) -> tuple[list[IdentityReport], dict[str, Any]]:
-    """Run verify over every grid point; failures are recorded, not raised.
-
-    Reports come back in grid order regardless of execution parallelism.
-    """
-    return sweep_points(ident, expand_grid(grid), tol=tol, policy=policy,
-                        spec=spec, threads=threads)
-
-
 def sweep_points(ident: IdentityId, points: list[dict[str, Any]],
                  tol: float | None = None,
                  policy: TruncationPolicy | None = None,
                  spec: QuadratureSpec | None = None,
                  threads: int = 1) -> tuple[list[IdentityReport], dict[str, Any]]:
-    """sweep over an explicit point list instead of a cartesian grid."""
+    """Run verify over every point; failures are recorded, not raised.
+
+    Reports come back in point order regardless of execution parallelism.
+    """
     if not points:
         raise InvalidGrid("point list must be nonempty")
 

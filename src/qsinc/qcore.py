@@ -1,8 +1,9 @@
 """Foundational q-special functions with certified product truncation.
 
-All infinite products (a;q)_infty are cut at an index N where the neglected
-log-tail is provably below the policy target: once |a q^N| < 1/2 the tail of
-sum_k log(1 - a q^k) is bounded by 2 |a| |q|^N / (1 - |q|).
+Every product (a;q)_infty, for a of any size, keeps the first N factors,
+where the log-tail bound 2 |a| |q|^N / (1 - |q|) falls below eps < 1; that
+already gives |a q^N| < 1/2, which the bound needs.  _vanishing_factor alone
+decides whether a factor 1 - a q^m is zero.
 """
 
 from __future__ import annotations
@@ -23,13 +24,9 @@ from .errors import (
     ZeroArgument,
 )
 
-# A factor counts as vanishing when its magnitude drops below this tolerance
-# times (1 + |argument|); distinguishes exact poles from computable near-poles.
+# A factor 1 - u counts as vanishing when |1 - u| < POLE_TOL (1 + |u|);
+# distinguishes exact poles from computable near-poles.
 POLE_TOL = 1e-13
-
-# Factor-peeling threshold shared with the tail bound: both require |a q^k|
-# below 1/2 before the geometric estimate applies.
-PEEL_THRESHOLD = 0.5
 
 MAX_TERMS_ENV = "QSINC_MAX_TERMS"
 
@@ -195,84 +192,64 @@ def qpoch_finite(a: complex, q: complex, n: int) -> complex:
 
 
 def _tail_index(a_abs: float, q_abs: float, eps: float) -> int:
-    """Smallest N with |a| q^N < 1/2 and tail bound 2|a|q^N/(1-q) < eps."""
+    """Smallest N with tail bound 2|a| |q|^N / (1 - |q|) < eps."""
     if a_abs == 0.0:
         return 0
-    lq = math.log(q_abs)
-    n1 = math.log(PEEL_THRESHOLD / a_abs) / lq if a_abs > PEEL_THRESHOLD else 0.0
-    n2 = math.log(eps * (1.0 - q_abs) / (2.0 * a_abs)) / lq
-    return int(math.ceil(max(n1, n2, 0.0))) + 1
-
-
-def _qpoch_inf_minfactor(
-    a: complex, q: complex, policy: TruncationPolicy
-) -> tuple[complex, float]:
-    """(a;q)_infty together with the smallest factor magnitude seen."""
-    aq = abs(q)
-    if aq >= 1.0:
-        raise InvalidBase(f"|q| must be < 1, got {aq}")
-    if a == 0:
-        return 1.0 + 0.0j, 1.0
-    n = max(policy.min_terms, _tail_index(abs(a), aq, policy.eps))
-    if n > policy.max_terms:
-        raise NoConvergence(
-            f"(a;q)_inf needs {n} factors, budget is {policy.max_terms}"
-        )
-    factors = 1.0 - complex(a) * np.power(complex(q), np.arange(n))
-    return complex(np.prod(factors)), float(np.min(np.abs(factors)))
-
-
-def qpoch_inf(a: complex, q: complex, policy: TruncationPolicy) -> complex:
-    """Infinite q-shifted factorial (a;q)_infty, tail certified below eps."""
-    value, _ = _qpoch_inf_minfactor(a, q, policy)
-    return value
-
-
-def qpoch_inf_large(a: complex, q: complex, policy: TruncationPolicy) -> complex:
-    """(a;q)_infty for arbitrary |a|: peel leading factors, then delegate.
-
-    Explicit factors (1 - a q^k) are multiplied out until |a q^M| < 1/2,
-    after which the remainder is a plain certified product.
-    """
-    aq = abs(q)
-    if aq >= 1.0:
-        raise InvalidBase(f"|q| must be < 1, got {aq}")
-    a = complex(a)
-    aa = abs(a)
-    if aa <= PEEL_THRESHOLD:
-        return qpoch_inf(a, q, policy)
-    m = int(math.ceil(math.log(PEEL_THRESHOLD / aa) / math.log(aq)))
-    if m > policy.max_terms:
-        raise NoConvergence(
-            f"factor peeling needs {m} factors, budget is {policy.max_terms}"
-        )
-    head = complex(np.prod(1.0 - a * np.power(complex(q), np.arange(m))))
-    return head * qpoch_inf(a * complex(q) ** m, q, policy)
+    n = math.log(eps * (1.0 - q_abs) / (2.0 * a_abs)) / math.log(q_abs)
+    return int(math.ceil(max(n, 0.0))) + 1
 
 
 def qpoch_inf_vec(a: np.ndarray, q: complex, eps: float = 1e-16,
                   max_terms: int = 2_000_000) -> np.ndarray:
-    """Vectorized (a_i;q)_infty over an array of arguments, shared base q.
+    """(a_i;q)_infty over an array of arguments of any size, shared base q.
 
-    Uses a uniform factor count covering the largest |a_i|; extra factors for
-    small arguments are harmlessly close to 1.
+    All elements share the factor count _tail_index(max |a_i|): the tail
+    bound grows with |a|, so that count certifies every element.  Non-finite
+    arguments do not enter the count; at least one factor is taken, so their
+    products are non-finite.
     """
     aq = abs(q)
     if aq >= 1.0:
         raise InvalidBase(f"|q| must be < 1, got {aq}")
     a = np.asarray(a, dtype=complex)
-    amax = float(np.max(np.abs(a))) if a.size else 0.0
-    if amax == 0.0:
-        return np.ones_like(a)
-    lq = math.log(aq)
-    m = 0
-    if amax > PEEL_THRESHOLD:
-        m = int(math.ceil(math.log(PEEL_THRESHOLD / amax) / lq))
-    k = m + _tail_index(PEEL_THRESHOLD, aq, eps)
+    amax = float(np.max(np.abs(a), initial=0.0, where=np.isfinite(a)))
+    k = max(1, _tail_index(amax, aq, eps))
     if k > max_terms:
-        raise NoConvergence(f"vectorized product needs {k} factors")
+        raise NoConvergence(
+            f"(a;q)_inf needs {k} factors, budget is {max_terms}")
     powers = np.power(complex(q), np.arange(k))
     return np.prod(1.0 - a[..., None] * powers, axis=-1)
+
+
+def qpoch_inf(a: complex, q: complex, policy: TruncationPolicy) -> complex:
+    """Infinite q-shifted factorial (a;q)_infty for any a, tail below eps.
+
+    A scalar view of qpoch_inf_vec; qpoch_inf_large is another name for it.
+    """
+    return complex(qpoch_inf_vec(a, q, policy.eps, policy.max_terms))
+
+
+qpoch_inf_large = qpoch_inf
+
+
+def _vanishing_factor(a: complex, q: complex) -> int | None:
+    """The index m in Z at which the factor 1 - a q^m vanishes, or None.
+
+    Only m0 = round(ln(1/|a|) / ln|q|) can vanish: every other m has
+    ||a q^m| - 1| >= 1 - |q|^(1/2).  It vanishes when
+    |1 - a q^m0| < POLE_TOL (1 + |a q^m0|).
+    """
+    if a == 0:
+        return None
+    m = round(-math.log(abs(a)) / math.log(abs(q)))
+    u = complex(a) * complex(q) ** m
+    return m if abs(1.0 - u) < POLE_TOL * (1.0 + abs(u)) else None
+
+
+def _has_zero_factor(a: complex, q: complex) -> bool:
+    """Whether a factor 1 - a q^m, m >= 0, of (a;q)_infty vanishes."""
+    m = _vanishing_factor(a, q)
+    return m is not None and m >= 0
 
 
 def _principal_power(base: complex, expo: complex) -> complex:
@@ -307,12 +284,11 @@ def qgamma(x: complex, q: complex, policy: TruncationPolicy) -> complex:
         raise NoConvergence(
             f"Gamma_q ratio needs {n} factors, budget is {policy.max_terms}"
         )
-    powers = np.power(complex(q), np.arange(n))
-    den_factors = 1.0 - qx * powers
-    minf = float(np.min(np.abs(den_factors)))
-    if minf < POLE_TOL * (1.0 + abs(qx)):
+    if _has_zero_factor(qx, q):
         raise PoleAtNonpositiveInteger(f"Gamma_q pole at x={x}")
-    ratio = complex(np.prod((1.0 - complex(q) * powers) / den_factors))
+    powers = np.power(complex(q), np.arange(n))
+    ratio = complex(np.prod((1.0 - complex(q) * powers)
+                            / (1.0 - qx * powers)))
     return ratio * _principal_power(1.0 - q, 1.0 - complex(x))
 
 
@@ -329,13 +305,8 @@ def qbinomial(a: complex, b: complex, q: complex,
     qa1 = _principal_power(q, complex(a) + 1.0)
     qb1 = _principal_power(q, complex(b) + 1.0)
     qab1 = _principal_power(q, complex(a) - complex(b) + 1.0)
-    num1, min1 = _qpoch_inf_minfactor(qb1, q, policy)
-    num2, min2 = _qpoch_inf_minfactor(qab1, q, policy)
-    den2, mind = _qpoch_inf_minfactor(qa1, q, policy)
-    num_vanishes = (min1 < POLE_TOL * (1.0 + abs(qb1))
-                    or min2 < POLE_TOL * (1.0 + abs(qab1)))
-    den_vanishes = mind < POLE_TOL * (1.0 + abs(qa1))
-    if den_vanishes:
+    num_vanishes = _has_zero_factor(qb1, q) or _has_zero_factor(qab1, q)
+    if _has_zero_factor(qa1, q):
         if num_vanishes:
             raise IndeterminateRatio(
                 f"coincident Gamma_q poles in qbinomial(a={a}, b={b})"
@@ -343,8 +314,8 @@ def qbinomial(a: complex, b: complex, q: complex,
         raise PoleAtNonpositiveInteger(f"Gamma_q(a+1) pole at a={a}")
     if num_vanishes:
         return 0.0 + 0.0j
-    den1 = qpoch_inf(q, q, policy)
-    return num1 * num2 / (den1 * den2)
+    return (qpoch_inf(qb1, q, policy) * qpoch_inf(qab1, q, policy)
+            / (qpoch_inf(q, q, policy) * qpoch_inf(qa1, q, policy)))
 
 
 def theta_product(z: complex, q: complex, policy: TruncationPolicy) -> complex:

@@ -37,11 +37,9 @@ from .util import fsum_complex
 # constants the asymptotic decay estimates leave implicit.
 _RADIUS_SAFETY = 1.25
 
-_VEC_EPS = 1e-16
-
-# Scalar constants of the integrands are certified to the same target as the
-# vectorized products.
-_POLICY = TruncationPolicy(eps=_VEC_EPS)
+# Products inside the integrands, vectorized and scalar, are certified to
+# double precision.
+_POLICY = TruncationPolicy(eps=1e-16)
 
 
 @dataclass(frozen=True)
@@ -103,11 +101,22 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
 
     integrand must accept a numpy array of real nodes and return complex
     values.  decay = (g, r) with g > 0 in natural-log units.  No node is an
-    integer, so the integral never samples the series' lattice.
+    integer, so the integral never samples the series' lattice.  Every
+    sample enters the value, so the first non-finite one raises
+    QuadratureFailure.
     """
     g, r = decay
     if g <= 0.0:
         raise InvalidDecay(f"Gaussian rate must be positive, got {g}")
+
+    def sample(x: np.ndarray) -> np.ndarray:
+        v = np.asarray(integrand(x), dtype=complex)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise QuadratureFailure(
+                f"non-finite integrand sample at x={x[bad[0]]:.17g}")
+        return v
+
     z = max(spec.half_width,
             _RADIUS_SAFETY * _decay_radius(decay, spec.eps / 10.0))
     # Nodes h (k + off/3), k in [-npts, npts]; midpoints turn offset 1 into 2
@@ -119,13 +128,13 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
     for _ in range(4):
         npts = math.ceil(z / h)
         ends = h * (np.array([-npts, npts]) + off / 3)
-        edge = np.max(np.abs(integrand(ends)))
+        edge = np.max(np.abs(sample(ends)))
         if edge <= spec.eps / 10.0:
             break
         z *= 1.25
 
     npts = math.ceil(z / h)
-    total = fsum_complex(integrand(h * (np.arange(-npts, npts + 1) + off / 3)))
+    total = fsum_complex(sample(h * (np.arange(-npts, npts + 1) + off / 3)))
     nodes = 2 * npts + 1
     value = h * total
     prev = None
@@ -140,7 +149,7 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
         if level == spec.max_refinements:
             break
         mids = h * (np.arange(-npts, npts) + off / 3 + 0.5)
-        total = total + fsum_complex(integrand(mids))
+        total = total + fsum_complex(sample(mids))
         nodes += mids.size
         h /= 2.0
         npts *= 2
@@ -155,7 +164,8 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
 
 def _qpoch_pair(u: np.ndarray, v: np.ndarray, base: complex) -> np.ndarray:
     """(u, v; base)_inf elementwise."""
-    return qpoch_inf_vec(u, base, _VEC_EPS) * qpoch_inf_vec(v, base, _VEC_EPS)
+    return (qpoch_inf_vec(u, base, _POLICY.eps)
+            * qpoch_inf_vec(v, base, _POLICY.eps))
 
 
 def _require_off_negative_axis(z: complex) -> None:

@@ -130,9 +130,12 @@ class TestSymmetricSeries:
         with pytest.raises(InvalidParams):
             symmetric_series(_sp(0.1, 0.2, -0.5, 0.5, 0.2), policy)
 
-    def test_denominator_zero_detected(self):
+    def test_denominator_zero_detected(self, policy):
         with pytest.raises(DenominatorZero):
             _check_denominator_factors(-0.25, 0.5)  # 1 + z q^-2 = 0
+        with pytest.raises(DenominatorZero):
+            # 1 + z q^2 = 0 at q = 0.5i, z = 4
+            symmetric_series(_sp(0.1, 0.2, 4.0, 0.5j, 0.2j), policy)
 
 
 class TestWeightedSeries:

@@ -12,7 +12,7 @@ from qsinc import (
     InvalidGrid,
     InvalidParams,
     make_report,
-    sweep,
+    sweep_points,
     verify,
 )
 from qsinc.identities import DEFAULT_TOL, expand_grid
@@ -129,7 +129,7 @@ class TestSweep:
     def test_grid_cardinality_and_order(self):
         grid = {"z": [0.5, 1.0, 1.5], "q": [0.4, 0.6], "p": [0.2],
                 "a": [0.2], "b": [0.3]}
-        reports, summary = sweep(IdentityId.Main, grid)
+        reports, summary = sweep_points(IdentityId.Main, expand_grid(grid))
         assert summary["total"] == 6
         assert summary["passed"] == 6
         # deterministic ordering by sorted key, then product order
@@ -140,12 +140,14 @@ class TestSweep:
         with pytest.raises(InvalidGrid):
             expand_grid({})
         with pytest.raises(InvalidGrid):
-            sweep(IdentityId.Main, {"q": []})
+            sweep_points(IdentityId.Main, expand_grid({"q": []}))
+        with pytest.raises(InvalidGrid):
+            sweep_points(IdentityId.Main, [])
 
     def test_invalid_point_isolated(self):
         grid = {"a": [0.2], "b": [0.3], "z": [1.0], "q": [0.6],
                 "p": [0.3, 0.7]}  # p=0.7 violates |p| < |q|
-        reports, summary = sweep(IdentityId.Main, grid)
+        reports, summary = sweep_points(IdentityId.Main, expand_grid(grid))
         assert summary["total"] == 2
         assert summary["passed"] == 1
         bad = [r for r in reports if not r.passed]
@@ -155,8 +157,8 @@ class TestSweep:
     def test_thread_count_does_not_change_reports(self):
         grid = {"z": [0.5, 1.0, 1.5], "q": [0.4, 0.6], "p": [0.2],
                 "a": [0.2], "b": [0.3]}
-        one, s1 = sweep(IdentityId.Main, grid, threads=1)
-        four, s4 = sweep(IdentityId.Main, grid, threads=4)
+        one, s1 = sweep_points(IdentityId.Main, expand_grid(grid), threads=1)
+        four, s4 = sweep_points(IdentityId.Main, expand_grid(grid), threads=4)
         assert s1 == s4
         for r1, r4 in zip(one, four):
             assert r1.params == r4.params

@@ -1,5 +1,6 @@
 """Core q-shifted factorial, Gamma_q and q-binomial tests."""
 
+import cmath
 import math
 import os
 
@@ -21,7 +22,7 @@ from qsinc import (
     qpoch_inf_large,
     theta_product,
 )
-from qsinc.qcore import MAX_TERMS_ENV, qpoch_inf_vec
+from qsinc.qcore import MAX_TERMS_ENV, _vanishing_factor, qpoch_inf_vec
 
 from conftest import rel_err
 from oracles import QGAMMA, QPOCH_INF
@@ -50,22 +51,31 @@ class TestQpoch:
         assert qpoch_inf(0.0, 0.5, policy) == 1.0
 
     @settings(max_examples=60, deadline=None)
-    @given(st.floats(-0.45, 0.45), st.floats(-0.45, 0.45),
-           st.floats(0.05, 0.9))
-    def test_shift_recurrence(self, ar, ai, q):
-        # (a; q)_inf = (1 - a)(aq; q)_inf
+    @given(st.floats(0.0, 50.0), st.floats(-math.pi, math.pi),
+           st.floats(0.05, 0.95), st.floats(-math.pi, math.pi))
+    def test_shift_recurrence(self, a_abs, a_arg, q_abs, q_arg):
+        # (a; q)_inf = (1 - a)(aq; q)_inf over |a| <= 50, |q| <= 0.95
         policy = TruncationPolicy(eps=1e-13)
-        a = complex(ar, ai)
+        a = cmath.rect(a_abs, a_arg)
+        q = cmath.rect(q_abs, q_arg)
         lhs = qpoch_inf(a, q, policy)
         rhs = (1 - a) * qpoch_inf(a * q, q, policy)
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
     def test_large_argument_peels(self, policy):
-        # direct head-factor expansion must agree with the peeled value
+        # direct head-factor expansion must agree with the full product
         a, q = 40.0, 0.3
         head = (1 - a) * (1 - a * q) * (1 - a * q ** 2)
         assert rel_err(qpoch_inf_large(a, q, policy),
                        head * qpoch_inf_large(a * q ** 3, q, policy)) < 1e-13
+
+    @pytest.mark.parametrize("q", [0.5, -0.7, 0.6 + 0.3j, 0.95j])
+    @pytest.mark.parametrize("m", [-3, 0, 4])
+    def test_vanishing_factor(self, q, m):
+        # the factor 1 - a q^m of a = q^-m vanishes; a nearby a has none
+        a = complex(q) ** -m
+        assert _vanishing_factor(a, q) == m
+        assert _vanishing_factor(a * (1 + 1e-10), q) is None
 
     def test_vectorized_matches_scalar(self, policy):
         import numpy as np
@@ -74,6 +84,11 @@ class TestQpoch:
         vec = qpoch_inf_vec(args, 0.5)
         for arg, value in zip(args, vec):
             assert rel_err(value, qpoch_inf_large(arg, 0.5, policy)) < 1e-12
+        # non-finite arguments stay non-finite and leave the others exact
+        with np.errstate(invalid="ignore"):
+            vec = qpoch_inf_vec(np.array([np.inf, np.nan, 0.3]), 0.5)
+        assert not np.isfinite(vec[:2]).any()
+        assert rel_err(vec[2], qpoch_inf(0.3, 0.5, policy)) < 1e-12
 
 
 class TestQParams:

@@ -21,6 +21,7 @@ from qsinc import (
     MultibasicParams,
     multibasic_series,
     qpoch_inf,
+    QuadratureFailure,
     symmetric_integral,
     symmetric_series,
     theta_product,
@@ -79,6 +80,34 @@ class TestGaussianDecay:
         nodes = np.concatenate(seen)
         assert nodes.size == res.nodes_used + 2  # plus the two edge probes
         assert np.min(np.abs(nodes - np.round(nodes))) > 1e-3
+
+    def test_nonfinite_sample_fails_fast(self):
+        # An integrand that overflows beyond |x| = 5 must not be refined.
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.where(np.abs(x) > 5.0, np.nan, np.exp(-0.1 * x * x))
+
+        with pytest.raises(QuadratureFailure, match="non-finite .* x="):
+            integrate_gaussian_decay(f, (0.1, 1.0), QuadratureSpec())
+        assert len(sizes) <= 2  # the edge probe and the first level
+
+    def test_infinities_of_both_signs_fail_typed(self):
+        # inf + (-inf) in the first refinement: QuadratureFailure, not the
+        # ValueError of math.fsum.
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            v = np.exp(-x * x).astype(complex)
+            if len(calls) == 3:
+                v[:2] = [np.inf, -np.inf]
+            return v
+
+        with pytest.raises(QuadratureFailure, match="non-finite"):
+            integrate_gaussian_decay(f, (1.0, 1.0), QuadratureSpec())
+        assert len(calls) == 3
 
     def test_spec_validation(self):
         with pytest.raises(InvalidParams):
