@@ -2,7 +2,6 @@
 classical limits, with a verification harness for the identity catalog."""
 
 from .bilateral import (
-    SeriesEvaluation,
     appell_lerch_rhs,
     bailey_series,
     fourier_series_side,
@@ -50,6 +49,7 @@ from .qcore import (
     MultibasicParams,
     QParams,
     SeriesParams,
+    Side,
     TruncationPolicy,
     default_policy,
     qbinomial,
@@ -60,7 +60,6 @@ from .qcore import (
     theta_product,
 )
 from .quadrature import (
-    QuadratureResult,
     QuadratureSpec,
     base_integral,
     fourier_integral,

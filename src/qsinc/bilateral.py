@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -24,6 +23,7 @@ from .qcore import (
     MultibasicParams,
     QParams,
     SeriesParams,
+    Side,
     TruncationPolicy,
     _vanishing_factor,
     qpoch_finite,
@@ -46,18 +46,9 @@ from .quadrature import (
 from .util import fsum_complex
 
 
-@dataclass(frozen=True)
-class SeriesEvaluation:
-    """Value of a bilateral sum plus truncation diagnostics."""
-
-    value: complex
-    terms_used: int
-    tail_estimate: float
-
-
 def _sum_pairs(term: Callable[[np.ndarray], np.ndarray],
                decay: tuple[float, float], policy: TruncationPolicy,
-               n_min: int = 0) -> SeriesEvaluation:
+               n_min: int = 0) -> Side:
     """Sum term(n) over n in Z as a window [-N, N] of the integer lattice.
 
     term maps an integer array to its terms.  The sum stops at the first
@@ -87,9 +78,9 @@ def _sum_pairs(term: Callable[[np.ndarray], np.ndarray],
             bad.insert(0, 0)
         if stops.size and (not bad or stops[0] < bad[0]):
             n = int(stops[0])
-            return SeriesEvaluation(
-                value=fsum_complex(t[big - n:big + n + 1]),
-                terms_used=2 * n + 1, tail_estimate=float(mag[n - 3:n].min()))
+            return Side(fsum_complex(t[big - n:big + n + 1]), "series",
+                        terms_used=2 * n + 1, half_width_used=n,
+                        tail_estimate=float(mag[n - 3:n].min()))
         if bad:
             raise NoConvergence(f"term overflow at |n|={bad[0]}")
         if big == n_max:
@@ -146,14 +137,14 @@ def _check_denominator_factors(z: complex, q: complex) -> None:
 
 
 def main_series(params: SeriesParams,
-                policy: TruncationPolicy) -> SeriesEvaluation:
+                policy: TruncationPolicy) -> Side:
     """Bilateral sum of (b q^n, a q^-n; p)_inf z^n q^(n(n-1)/2)."""
     term = _product_terms(params.qp, ((params.a, params.b),), params.z, 1)
     return _sum_pairs(term, _symmetric_decay(params), policy)
 
 
 def symmetric_series(params: SeriesParams,
-                     policy: TruncationPolicy) -> SeriesEvaluation:
+                     policy: TruncationPolicy) -> Side:
     """Bilateral sum of (b q^n, a q^-n; p)_inf / (-z q^n, -q^(1-n)/z; q)_inf."""
     _require_off_negative_axis(params.z)
     _check_denominator_factors(params.z, params.qp.q)
@@ -162,7 +153,7 @@ def symmetric_series(params: SeriesParams,
 
 
 def weighted_series(params: SeriesParams, m: int,
-                    policy: TruncationPolicy) -> SeriesEvaluation:
+                    policy: TruncationPolicy) -> Side:
     """Symmetric-form bilateral sum at z = 1 with weight q^(mn)."""
     if params.z != 1:
         raise InvalidParams("weighted_series is defined at z = 1")
@@ -171,7 +162,7 @@ def weighted_series(params: SeriesParams, m: int,
 
 
 def fourier_series_side(params: SeriesParams, y: float,
-                        policy: TruncationPolicy) -> complex:
+                        policy: TruncationPolicy) -> Side:
     """Full sinh-kernel side of the Fourier-transform identity at z = 1.
 
     (2 pi i / ln q) / sinh(pi y / ln q)
@@ -193,13 +184,12 @@ def fourier_series_side(params: SeriesParams, y: float,
     pref /= (qpoch_inf(q, q, policy) ** 2
              * qpoch_inf_large(-eiy, q, policy)
              * qpoch_inf_large(-complex(q) / eiy, q, policy))
-    series = _sum_pairs(_fourier_integrand(params, y),
-                        _symmetric_decay(params), policy)
-    return pref * series.value
+    return _sum_pairs(_fourier_integrand(params, y), _symmetric_decay(params),
+                      policy).scaled(pref)
 
 
 def bailey_series(params: BaileyParams, side: str,
-                  policy: TruncationPolicy) -> SeriesEvaluation:
+                  policy: TruncationPolicy) -> Side:
     """Either side of the four-product transformation with q^(n(n-1)) weights.
 
     side is "left" or "right"; the right side carries the z prefactor.
@@ -213,13 +203,11 @@ def bailey_series(params: BaileyParams, side: str,
     if side != "right":
         raise InvalidParams(f"side must be 'left' or 'right', got {side!r}")
     term = _product_terms(qp, ((a1 * z, b1 / z), (a2 * z, b2 / z)), 1.0 / z, 2)
-    ev = _sum_pairs(term, decay, policy)
-    return replace(ev, value=z * ev.value,
-                   tail_estimate=abs(z) * ev.tail_estimate)
+    return _sum_pairs(term, decay, policy).scaled(z)
 
 
 def appell_lerch_rhs(a: complex, q: complex,
-                     policy: TruncationPolicy) -> SeriesEvaluation:
+                     policy: TruncationPolicy) -> Side:
     """2 (qa, q/a; q^2)_inf  sum_n (-1/a)^n q^(n^2+n) / (1 - a q^(2n+1)).
 
     Lattice points a = q^-(2n+1) are removable: the matching zero of the
@@ -248,13 +236,11 @@ def appell_lerch_rhs(a: complex, q: complex,
         return t if n_star is None else np.where(n == n_star, 0.0, t)
 
     if n_star is None:
-        ev = _sum_pairs(term, decay, policy)
         pref = 2.0 * qpoch_inf_large(q * a, q2, policy) \
             * qpoch_inf_large(q / a, q2, policy)
-        return replace(ev, value=pref * ev.value,
-                       tail_estimate=abs(pref) * ev.tail_estimate)
+        return _sum_pairs(term, decay, policy).scaled(pref)
 
-    # Pair the vanishing prefactor-factor with the pole term before summing.
+    # Pair the vanishing prefactor-factor with pole term c: pref (w S + d c).
     u = 1.0 - a * q ** (2 * n_star + 1)
     c = complex(bare(n_star))
     ev = _sum_pairs(term, decay, policy, abs(n_star) + 2)
@@ -263,19 +249,19 @@ def appell_lerch_rhs(a: complex, q: complex,
         pref = 2.0 * qpoch_inf_large(q / a, q2, policy) \
             * qpoch_finite(q * a, q2, n_star) \
             * qpoch_inf_large(q * a * q2 ** (n_star + 1), q2, policy)
-        value = pref * (u * ev.value + c)
+        w, d = u, 1.0
     else:
         # Factor -(n_star+1) of (q/a; q^2)_inf equals -u/(1-u); leave it out.
         k_star = -(n_star + 1)
         pref = 2.0 * qpoch_inf_large(q * a, q2, policy) \
             * qpoch_finite(q / a, q2, k_star) \
             * qpoch_inf_large(q / a * q2 ** (k_star + 1), q2, policy)
-        value = pref * ((-u / (1.0 - u)) * ev.value - c / (1.0 - u))
-    return replace(ev, value=value, tail_estimate=abs(pref) * ev.tail_estimate)
+        w, d = -u / (1.0 - u), -1.0 / (1.0 - u)
+    return ev.scaled(pref * w) + Side(pref * d * c, "product")
 
 
 def multibasic_series(params: MultibasicParams,
-                      policy: TruncationPolicy) -> SeriesEvaluation:
+                      policy: TruncationPolicy) -> Side:
     """Bilateral sum of the two-base q-binomial terms."""
     _require_off_negative_axis(params.z)
     _check_denominator_factors(params.z, params.q)

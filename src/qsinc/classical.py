@@ -21,7 +21,7 @@ from .errors import (
     QuadratureFailure,
     SlowConvergence,
 )
-from .qcore import TruncationPolicy
+from .qcore import Side, TruncationPolicy
 from .util import fsum_complex
 
 _INT_TOL = 1e-9  # distance below which a value counts as an exact integer
@@ -112,26 +112,28 @@ def binomial_bandlimit_integral(a: float, u: float,
 
 
 def _bilateral_doubling(block_sum, policy: TruncationPolicy,
-                        start: int = 256) -> tuple[complex, float, int]:
+                        start: int = 256) -> Side:
     """Sum f over Z by doubling symmetric windows until the rings stabilize.
 
-    block_sum(lo, hi) must return sum of f(n) for lo <= |n| <= hi (both
-    signs), with block_sum(0, hi) including n = 0.  Returns (value,
-    tail_estimate, terms_used).
+    block_sum(n) must return the sum of f over the integer array n; it is
+    called on [-N, N] and then on the rings N < |n| <= 2N.  The tail
+    estimate is the size of the last ring.
     """
     n_hi = min(start, policy.max_terms)
-    total = block_sum(0, n_hi)
+    total = block_sum(np.arange(-n_hi, n_hi + 1))
     terms = 2 * n_hi + 1
     small_rings = 0
     tail = math.inf
     while True:
         if small_rings >= 2:
-            return total, tail, terms
+            return Side(total, "doubling", terms_used=terms,
+                        half_width_used=n_hi, tail_estimate=tail)
         if 2 * n_hi > policy.max_terms:
             raise SlowConvergence(
                 f"no convergence within {policy.max_terms} terms"
             )
-        ring = block_sum(n_hi + 1, 2 * n_hi)
+        far = np.arange(n_hi + 1, 2 * n_hi + 1)
+        ring = block_sum(np.concatenate([-far[::-1], far]))
         total += ring
         terms += 2 * n_hi
         n_hi *= 2
@@ -142,7 +144,7 @@ def _bilateral_doubling(block_sum, policy: TruncationPolicy,
             small_rings = 0
 
 
-def osler_sum(params: OslerParams, policy: TruncationPolicy) -> complex:
+def osler_sum(params: OslerParams, policy: TruncationPolicy) -> Side:
     """Bilateral sum of binom(a, b+alpha n) v^(b+alpha n) with v=e^{i theta}.
 
     Terms decay like |n|^{-a-1}, so a > 0 is required; symmetric windows are
@@ -157,20 +159,14 @@ def osler_sum(params: OslerParams, policy: TruncationPolicy) -> complex:
             f"series form requires |theta| < pi*alpha = {math.pi * alpha}"
         )
 
-    def block_sum(lo: int, hi: int) -> complex:
-        if lo == 0:
-            n = np.arange(-hi, hi + 1)
-        else:
-            n = np.concatenate([np.arange(-hi, -lo + 1), np.arange(lo, hi + 1)])
+    def block_sum(n: np.ndarray) -> complex:
         u = b + alpha * n
-        terms = binomial_profile(a, u) * np.exp(1j * theta * u)
-        return fsum_complex(terms)
+        return fsum_complex(binomial_profile(a, u) * np.exp(1j * theta * u))
 
-    value, _, _ = _bilateral_doubling(block_sum, policy)
-    return value
+    return _bilateral_doubling(block_sum, policy)
 
 
-def _gl_panels(f, lo: float, hi: float, nodes_per_unit: float) -> float:
+def _gl_panels(f, lo: float, hi: float, nodes_per_unit: float) -> Side:
     """Composite 8-point Gauss-Legendre quadrature with vectorized f."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(8)
     npan = max(1, int(math.ceil((hi - lo) * nodes_per_unit / 8.0)))
@@ -179,31 +175,25 @@ def _gl_panels(f, lo: float, hi: float, nodes_per_unit: float) -> float:
     mids = 0.5 * (edges[1:] + edges[:-1])
     xs = (mids[:, None] + half * gl_x[None, :]).ravel()
     ws = np.tile(half * gl_w, npan)
-    return float(math.fsum(f(xs) * ws))
+    return Side(math.fsum(f(xs) * ws), "gauss-legendre", nodes_used=xs.size)
 
 
 def classical_sum(a: float, alpha: float, l: int,
-                  policy: TruncationPolicy) -> tuple[float, float]:
-    """(sum over Z of binom(a, alpha n)^l, tail estimate)."""
+                  policy: TruncationPolicy) -> Side:
+    """Sum over Z of binom(a, alpha n)^l."""
 
-    def block_sum(lo: int, hi: int) -> float:
-        if lo == 0:
-            n = np.arange(-hi, hi + 1)
-        else:
-            n = np.concatenate([np.arange(-hi, -lo + 1), np.arange(lo, hi + 1)])
-        return math.fsum(binomial_profile(a, alpha * n) ** l)
-
-    value, tail, _ = _bilateral_doubling(block_sum, policy)
-    return float(value.real if isinstance(value, complex) else value), tail
+    return _bilateral_doubling(
+        lambda n: math.fsum(binomial_profile(a, alpha * n) ** l), policy)
 
 
 def classical_integral(a: float, alpha: float, l: int,
-                       policy: TruncationPolicy) -> tuple[float, float]:
-    """(integral over R of binom(a, alpha x)^l, error estimate).
+                       policy: TruncationPolicy) -> Side:
+    """Integral over R of binom(a, alpha x)^l.
 
     The domain is grown in doubling rings until the measured algebraic tail
     contribution stabilizes; node density is then doubled once to confirm
-    the panel rule has converged.
+    the panel rule has converged.  The error estimate is the larger of the
+    last ring and the change under that refinement.
     """
     f = lambda x: binomial_profile(a, alpha * x) ** l
     density = 16.0 * max(1.0, alpha)
@@ -218,15 +208,18 @@ def classical_integral(a: float, alpha: float, l: int,
                 + _gl_panels(f, -2.0 * x0, -x0, density))
         total += ring
         x0 *= 2.0
-        tail = abs(ring)
-        if tail <= policy.eps * max(1.0, abs(total)):
+        tail = abs(ring.value)
+        if tail <= policy.eps * max(1.0, abs(total.value)):
             small_rings += 1
         else:
             small_rings = 0
     refined = _gl_panels(f, -x0, x0, 2.0 * density)
-    err = abs(refined - total)
-    if err > 100.0 * policy.eps * max(1.0, abs(refined)):
+    err = abs(refined.value - total.value)
+    if err > 100.0 * policy.eps * max(1.0, abs(refined.value)):
         raise QuadratureFailure(
             f"node-density refinement changed value by {err:.2e}"
         )
-    return refined, max(err, tail)
+    return Side(refined.value, "gauss-legendre",
+                nodes_used=total.nodes_used + refined.nodes_used,
+                half_width_used=x0, refinements_used=1, tail_estimate=tail,
+                error_estimate=max(err, tail))

@@ -17,8 +17,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import classical, identities
-from .classical import OslerParams, gamma_classical
+from . import identities
+from .classical import gamma_classical
 from .errors import InvalidParams, QsincError
 from .identities import DEFAULT_TOL, IdentityId, IdentityReport
 from .qcore import default_policy, qgamma
@@ -119,16 +119,11 @@ def _param_value(value: Any) -> Any:
 
 
 def report_to_dict(report: IdentityReport, timing: bool) -> dict[str, Any]:
-    diagnostics: dict[str, Any] = {
-        "lhs_terms": report.lhs_diag.get("terms"),
-        "rhs_nodes": report.rhs_diag.get("nodes"),
-        "tail_estimate": report.lhs_diag.get("tail_estimate"),
-        "error_estimate": report.rhs_diag.get("error_estimate"),
-    }
-    status = report.lhs_diag.get("status")
-    if status is not None:
-        diagnostics["status"] = status
-        diagnostics["reason"] = report.lhs_diag.get("reason")
+    diagnostics = {"lhs": report.lhs_diag, "rhs": report.rhs_diag,
+                   "rule": report.rule}
+    if "status" in report.lhs_diag:
+        # A failed point has no sides; its status and reason go on top.
+        diagnostics.update(lhs={}, **report.lhs_diag)
     return {
         "identity": report.id.value,
         "params": {k: _param_value(report.params[k])
@@ -155,12 +150,17 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
-def _reports_to_csv(reports: Sequence[IdentityReport], timing: bool) -> str:
-    param_keys = sorted({k for r in reports for k in r.params})
+def _csv_text(header: Sequence[str], rows) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["identity", *param_keys, "lhs_re", "lhs_im", "rhs_re",
-                     "rhs_im", "abs_err", "rel_err", "pass", "elapsed_ms"])
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _reports_to_csv(reports: Sequence[IdentityReport], timing: bool) -> str:
+    param_keys = sorted({k for r in reports for k in r.params})
+    rows = []
     for r in reports:
         row = [r.id.value]
         row += [_csv_cell(r.params[k]) if k in r.params else ""
@@ -169,8 +169,10 @@ def _reports_to_csv(reports: Sequence[IdentityReport], timing: bool) -> str:
                 (r.lhs.real, r.lhs.imag, r.rhs.real, r.rhs.imag,
                  r.abs_err, r.rel_err, r.passed,
                  r.elapsed * 1000.0 if timing else 0.0)]
-        writer.writerow(row)
-    return out.getvalue()
+        rows.append(row)
+    return _csv_text(["identity", *param_keys, "lhs_re", "lhs_im", "rhs_re",
+                      "rhs_im", "abs_err", "rel_err", "pass", "elapsed_ms"],
+                     rows)
 
 
 def _report_to_text(report: IdentityReport) -> str:
@@ -219,12 +221,13 @@ def _report_exit(report: IdentityReport) -> int:
 def _collect_params(args: argparse.Namespace, grids: bool) -> dict[str, Any]:
     params: dict[str, Any] = {}
     for name in _PARAM_FLAGS:
-        raw = getattr(args, name, None)
+        raw = getattr(args, name)
         if raw is None:
             continue
         params[name] = _parse_grid(raw) if grids else _parse_scalar(raw)
-    if getattr(args, "allow_extreme", False):
-        params["allow_extreme"] = True
+    if args.allow_extreme:
+        # As a grid, a one-value axis: every point of the sweep carries it.
+        params["allow_extreme"] = [True] if grids else True
     return params
 
 
@@ -275,14 +278,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     ident = _identity_from_name(args.identity)
     grid = _collect_params(args, grids=True)
-    allow_extreme = isinstance(grid.pop("allow_extreme", None), bool)
-    if not grid:
+    if not grid.keys() - {"allow_extreme"}:
         raise UsageError("sweep requires at least one parameter grid")
-    points = identities.expand_grid(grid)
-    points = [_apply_ratio(p) for p in points]
-    if allow_extreme:
-        for p in points:
-            p["allow_extreme"] = True
+    points = [_seeded_defaults(ident, _apply_ratio(p), args.seed)
+              for p in identities.expand_grid(grid)]
     reports, summary = identities.sweep_points(
         ident, points, tol=args.tol, threads=args.threads)
     if args.format == "json":
@@ -307,26 +306,17 @@ def _limit_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
     name = args.identity
     params = _collect_params(args, grids=False)
     rows: list[dict[str, Any]] = []
-    if name == "osler":
-        op = OslerParams(a=params.get("a", 2.0), b=params.get("b", 0.0),
-                         alpha=params.get("alpha", 0.5),
-                         theta=params.get("theta", 0.0))
-        import cmath
-        rhs = (1.0 / op.alpha) * (1.0 + cmath.exp(1j * op.theta)) ** op.a
+    if name in ("osler", "classical-sum-int"):
+        ident = _identity_from_name(name)
+        defaults = ({"a": 2.0, "alpha": 0.5} if ident is IdentityId.Osler
+                    else {"a": 2.0, "alpha": 1.0, "l": 2})
         for eps in (1e-4, 1e-6, 1e-8, 1e-10):
-            lhs = classical.osler_sum(op, default_policy(eps=eps))
-            rows.append({"parameter": eps, "lhs": lhs, "rhs": rhs,
-                         "error": abs(lhs - rhs)})
-    elif name == "classical-sum-int":
-        a = params.get("a", 2.0)
-        alpha = params.get("alpha", 1.0)
-        l = int(params.get("l", 2))
-        for eps in (1e-4, 1e-6, 1e-8, 1e-10):
-            policy = default_policy(eps=eps)
-            s, _ = classical.classical_sum(a, alpha, l, policy)
-            i, _ = classical.classical_integral(a, alpha, l, policy)
-            rows.append({"parameter": eps, "lhs": s, "rhs": i,
-                         "error": abs(s - i)})
+            report = identities.verify(ident, {**defaults, **params},
+                                       policy=default_policy(eps=eps))
+            if report.lhs_diag.get("status") == "inconclusive":
+                raise QsincError(report.lhs_diag["reason"])
+            rows.append({"parameter": eps, "lhs": report.lhs,
+                         "rhs": report.rhs, "error": report.abs_err})
     elif name == "qgamma":
         x = params.get("x", 1.5)
         rhs = gamma_classical(float(x))
@@ -361,13 +351,9 @@ def cmd_limit(args: argparse.Namespace) -> int:
                 "error": r["error"]} for r in rows]
         _emit(_json_dump(doc), args.output)
     elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["parameter", "lhs", "rhs", "error"])
-        for r in rows:
-            writer.writerow([_csv_cell(r["parameter"]), _csv_cell(r["lhs"]),
-                             _csv_cell(r["rhs"]), _csv_cell(r["error"])])
-        _emit(out.getvalue(), args.output)
+        keys = ("parameter", "lhs", "rhs", "error")
+        _emit(_csv_text(keys, ([_csv_cell(r[k]) for k in keys] for r in rows)),
+              args.output)
     else:
         lines = [f"{'parameter':>12}  {'lhs':>24}  {'rhs':>24}  {'error':>10}"]
         for r in rows:
@@ -387,6 +373,9 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     if args.format == "json":
         doc = {ident.value: identities.CATALOG[ident] for ident in IdentityId}
         _emit(_json_dump(doc), args.output)
+    elif args.format == "csv":
+        rows = ((i.value, identities.CATALOG[i]) for i in IdentityId)
+        _emit(_csv_text(("identity", "description"), rows), args.output)
     else:
         width = max(len(ident.value) for ident in IdentityId)
         lines = [f"{ident.value:<{width}}  {identities.CATALOG[ident]}"
@@ -397,8 +386,18 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 # --- entry point -----------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser,
-                with_params: bool = True) -> None:
+_COMMANDS = {"verify": cmd_verify, "sweep": cmd_sweep, "limit": cmd_limit,
+             "catalog": cmd_catalog}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the command is a positional, every flag is shared."""
+    parser = _Parser(prog="qsinc",
+                     description="verify bilateral q-series identities")
+    parser.add_argument("command", choices=tuple(_COMMANDS),
+                        help="verify one point, sweep a grid, tabulate a "
+                             "classical limit or list the catalog")
+    parser.add_argument("--identity", default=None)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
@@ -407,31 +406,11 @@ def _add_common(parser: argparse.ArgumentParser,
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--timing", action="store_true",
                         help="report wall-clock times (off for determinism)")
-    if with_params:
-        parser.add_argument("--identity", required=True)
-        parser.add_argument("--allow-extreme", dest="allow_extreme",
-                            action="store_true")
-        for name in _PARAM_FLAGS:
-            parser.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                                default=None, metavar="VALUE")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qsinc",
-                     description="verify bilateral q-series identities")
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    p_verify = sub.add_parser("verify", help="check one identity at a point")
-    _add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-    p_sweep = sub.add_parser("sweep", help="check an identity over a grid")
-    _add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-    p_limit = sub.add_parser("limit", help="classical-limit ladder table")
-    _add_common(p_limit)
-    p_limit.set_defaults(func=cmd_limit)
-    p_catalog = sub.add_parser("catalog", help="list verifiable identities")
-    _add_common(p_catalog, with_params=False)
-    p_catalog.set_defaults(func=cmd_catalog)
+    parser.add_argument("--allow-extreme", dest="allow_extreme",
+                        action="store_true")
+    for name in _PARAM_FLAGS:
+        parser.add_argument(f"--{name.replace('_', '-')}", dest=name,
+                            default=None, metavar="VALUE")
     return parser
 
 
@@ -439,20 +418,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "catalog":
+            if args.allow_extreme or any(
+                    getattr(args, name) is not None
+                    for name in ("identity", *_PARAM_FLAGS)):
+                parser.error("catalog takes no identity or parameter flags")
+        elif args.identity is None:
+            parser.error(f"{args.command} requires --identity")
+        if args.tol is not None and args.tol <= 0.0:
+            parser.error("--tol must be positive")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    if args.tol is not None and args.tol <= 0.0:
-        sys.stderr.write("--tol must be positive\n")
-        return EXIT_USAGE
     try:
-        return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    except ValueError as exc:
+        return _COMMANDS[args.command](args)
+    except (UsageError, ValueError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
 

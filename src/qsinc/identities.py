@@ -1,10 +1,10 @@
 """Identity catalog and verification harness.
 
 Each identity pairs two independently computed sides (series vs series, or
-series vs quadrature), applies the combined absolute/relative tolerance rule
-and produces an IdentityReport.  The combined rule matters because several
-identities have sides that legitimately approach zero, where relative error
-is meaningless.
+series vs quadrature), each a Side, applies the combined absolute/relative
+tolerance rule and produces an IdentityReport.  The combined rule matters
+because several identities have sides that legitimately approach zero, where
+relative error is meaningless.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Mapping
 
@@ -29,12 +30,18 @@ from .qcore import (
     MultibasicParams,
     QParams,
     SeriesParams,
+    Side,
     TruncationPolicy,
     default_policy,
     qpoch_inf,
     theta_product,
 )
-from .quadrature import QuadratureSpec, _binomial_factor, _gaussian_decay
+from .quadrature import (
+    QuadratureSpec,
+    _binomial_factor,
+    _binomial_normalizer,
+    _gaussian_decay,
+)
 
 
 class IdentityId(Enum):
@@ -107,7 +114,11 @@ DEFAULT_TOL: dict[IdentityId, float] = {
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Outcome of checking one identity at one parameter point."""
+    """Outcome of checking one identity at one parameter point.
+
+    lhs_diag and rhs_diag are the sides' Side.diagnostics(); a point whose
+    sides were not computed has only a status and a reason, in lhs_diag.
+    """
 
     id: IdentityId
     params: dict[str, Any]
@@ -121,29 +132,37 @@ class IdentityReport:
     rhs_diag: dict[str, Any] = field(default_factory=dict)
     elapsed: float = 0.0
 
+    @property
+    def rule(self) -> str:
+        """The deciding pass rule: "abs" when abs_err <= tol, else "rel"."""
+        return "abs" if self.abs_err <= self.tol else "rel"
+
 
 def make_report(ident: IdentityId, params: Mapping[str, Any], lhs: complex,
                 rhs: complex, tol: float, lhs_diag=None, rhs_diag=None,
-                elapsed: float = 0.0) -> IdentityReport:
+                elapsed: float = 0.0, *, status: str | None = None,
+                reason: str = "") -> IdentityReport:
+    """Compare two side values: pass when abs_err <= tol, or when
+    rel_err <= tol and a side exceeds tol.
+
+    A status ("inconclusive", "invalid_params") marks a point whose sides
+    were not computed: it fails with infinite errors, and lhs_diag holds
+    the status and the reason.
+    """
     lhs, rhs = complex(lhs), complex(rhs)
-    abs_err = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs))
-    rel_err = abs_err / scale if scale > 0.0 else 0.0
-    passed = abs_err <= tol or (scale > tol and rel_err <= tol)
+    if status is None:
+        abs_err = abs(lhs - rhs)
+        scale = max(abs(lhs), abs(rhs))
+        rel_err = abs_err / scale if scale > 0.0 else 0.0
+        passed = abs_err <= tol or (scale > tol and rel_err <= tol)
+    else:
+        abs_err = rel_err = math.inf
+        passed = False
+        lhs_diag = {"status": status, "reason": reason}
     return IdentityReport(id=ident, params=dict(params), lhs=lhs, rhs=rhs,
                           abs_err=abs_err, rel_err=rel_err, tol=tol,
                           passed=passed, lhs_diag=lhs_diag or {},
                           rhs_diag=rhs_diag or {}, elapsed=elapsed)
-
-
-def _series_diag(ev: bilateral.SeriesEvaluation) -> dict[str, Any]:
-    return {"terms": ev.terms_used, "tail_estimate": ev.tail_estimate}
-
-
-def _quad_diag(res: quadrature.QuadratureResult) -> dict[str, Any]:
-    return {"nodes": res.nodes_used, "error_estimate": res.error_estimate,
-            "half_width": res.half_width_used,
-            "refinements": res.refinements_used}
 
 
 def _qparams(params: Mapping[str, Any]) -> QParams:
@@ -158,6 +177,16 @@ def _series_params(params: Mapping[str, Any],
         raise InvalidParams("missing parameter z")
     return SeriesParams(qp=_qparams(params), a=params.get("a", 0.0),
                         b=params.get("b", 0.0), z=z)
+
+
+def _integer(params: Mapping[str, Any], name: str,
+             default: int | None = None) -> int:
+    """params[name] as an int: a value that is not integral (or is missing)
+    is rejected, not truncated."""
+    value = params.get(name, default)
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise InvalidParams(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 def verify(ident: IdentityId, params: Mapping[str, Any],
@@ -177,34 +206,31 @@ def verify(ident: IdentityId, params: Mapping[str, Any],
         spec = QuadratureSpec(eps=min(tol / 10.0, 1e-10))
     start = time.perf_counter()
     try:
-        lhs, rhs, ld, rd = _DISPATCH[ident](params, policy, spec)
+        lhs, rhs = _DISPATCH[ident](params, policy, spec)
     except InvalidParams:
         raise
     except QsincError as exc:
-        return IdentityReport(
-            id=ident, params=dict(params), lhs=0.0, rhs=0.0,
-            abs_err=math.inf, rel_err=math.inf, tol=tol, passed=False,
-            lhs_diag={"status": "inconclusive",
-                      "reason": f"{type(exc).__name__}: {exc}"},
-            rhs_diag={}, elapsed=time.perf_counter() - start)
-    return make_report(ident, params, lhs, rhs, tol, ld, rd,
+        return make_report(ident, params, 0.0, 0.0, tol,
+                           elapsed=time.perf_counter() - start,
+                           status="inconclusive",
+                           reason=f"{type(exc).__name__}: {exc}")
+    return make_report(ident, params, lhs.value, rhs.value, tol,
+                       lhs.diagnostics(), rhs.diagnostics(),
                        elapsed=time.perf_counter() - start)
 
 
-# --- dispatch arms ---------------------------------------------------------
+# --- dispatch arms: each returns the (lhs, rhs) Sides ----------------------
 
 def _arm_main(params, policy, spec):
     sp = _series_params(params)
-    ev = bilateral.main_series(sp, policy)
-    res = quadrature.main_integral(sp, spec)
-    return ev.value, res.value, _series_diag(ev), _quad_diag(res)
+    return (bilateral.main_series(sp, policy),
+            quadrature.main_integral(sp, spec))
 
 
 def _arm_symmetric(params, policy, spec):
     sp = _series_params(params)
-    ev = bilateral.symmetric_series(sp, policy)
-    res = quadrature.symmetric_integral(sp, spec)
-    return ev.value, res.value, _series_diag(ev), _quad_diag(res)
+    return (bilateral.symmetric_series(sp, policy),
+            quadrature.symmetric_integral(sp, spec))
 
 
 def _arm_qbinomial(params, policy, spec):
@@ -219,42 +245,37 @@ def _arm_qbinomial(params, policy, spec):
     # so the identity is the symmetric form at mapped arguments.
     sp = SeriesParams(qp=QParams(p=p, q=q), a=p ** (a - b + 1.0),
                       b=p ** (b + 1.0), z=z)
-    c = qpoch_inf(p, p, policy) * qpoch_inf(p ** (a + 1.0), p, policy)
-    ev = bilateral.symmetric_series(sp, policy)
-    res = quadrature.symmetric_integral(sp, spec)
-    return ev.value / c, res.value / c, _series_diag(ev), _quad_diag(res)
+    inv_c = 1.0 / _binomial_normalizer(a, p)
+    return (bilateral.symmetric_series(sp, policy).scaled(inv_c),
+            quadrature.symmetric_integral(sp, spec).scaled(inv_c))
 
 
 def _arm_osler(params, policy, spec):
     op = OslerParams(a=params["a"], b=params.get("b", 0.0),
                      alpha=params["alpha"], theta=params.get("theta", 0.0))
-    lhs = classical.osler_sum(op, policy)
     v = cmath.exp(1j * op.theta)
-    rhs = (1.0 / op.alpha) * (1.0 + v) ** op.a
-    return lhs, rhs, {}, {}
+    return (classical.osler_sum(op, policy),
+            Side((1.0 / op.alpha) * (1.0 + v) ** op.a, "closed-form"))
 
 
 def _arm_classical_sum_int(params, policy, spec):
-    a, alpha, l = params["a"], params["alpha"], int(params["l"])
+    a, alpha, l = params["a"], params["alpha"], _integer(params, "l")
     if a <= 0.0:
         raise InvalidParams(f"need a > 0, got {a}")
     if l < 1:
         raise InvalidParams(f"need l >= 1, got {l}")
     if not 0.0 < alpha <= 2.0 / l:
         raise InvalidParams(f"need 0 < alpha <= 2/l = {2.0 / l}, got {alpha}")
-    s, s_tail = classical.classical_sum(a, alpha, l, policy)
-    i, i_err = classical.classical_integral(a, alpha, l, policy)
-    return complex(s), complex(i), {"tail_estimate": s_tail}, \
-        {"error_estimate": i_err}
+    return (classical.classical_sum(a, alpha, l, policy),
+            classical.classical_integral(a, alpha, l, policy))
 
 
 def _arm_appell_lerch(params, policy, spec):
     a, q = complex(params["a"]), complex(params["q"])
     qp = QParams(p=q * q, q=q)
     sp = SeriesParams(qp=qp, a=q * q / a, b=a * q * q, z=1.0)
-    ev = bilateral.main_series(sp, policy)
-    rhs = bilateral.appell_lerch_rhs(a, q, policy)
-    return ev.value, rhs.value, _series_diag(ev), _series_diag(rhs)
+    return (bilateral.main_series(sp, policy),
+            bilateral.appell_lerch_rhs(a, q, policy))
 
 
 def _arm_invariance(params, policy, spec):
@@ -262,39 +283,35 @@ def _arm_invariance(params, policy, spec):
     c = complex(params.get("c", 1.3 + 0.4j))
     if c == 0:
         raise InvalidParams("move factor c must be nonzero")
-    moved = SeriesParams(qp=sp.qp, a=sp.a / c, b=sp.b * c, z=sp.z * c)
-    ev1 = bilateral.symmetric_series(sp, policy)
-    ev2 = bilateral.symmetric_series(moved, policy)
-    return ev1.value, ev2.value, _series_diag(ev1), _series_diag(ev2)
+    moved = replace(sp, a=sp.a / c, b=sp.b * c, z=sp.z * c)
+    return (bilateral.symmetric_series(sp, policy),
+            bilateral.symmetric_series(moved, policy))
 
 
 def _arm_fourier(params, policy, spec):
     y = float(params["y"])
     sp = _series_params(params, z_default=1.0)
-    res = quadrature.fourier_integral(sp, y, spec)
-    rhs = bilateral.fourier_series_side(sp, y, policy)
-    return res.value, rhs, _quad_diag(res), {}
+    return (quadrature.fourier_integral(sp, y, spec),
+            bilateral.fourier_series_side(sp, y, policy))
 
 
 def _arm_weighted(params, policy, spec):
-    m = int(params["m"])
+    m = _integer(params, "m")
     sp = _series_params(params, z_default=1.0)
-    ev = bilateral.weighted_series(sp, m, policy)
-    res = quadrature.weighted_integral(sp, m, spec)
-    return ev.value, res.value, _series_diag(ev), _quad_diag(res)
+    return (bilateral.weighted_series(sp, m, policy),
+            quadrature.weighted_integral(sp, m, spec))
 
 
 def _arm_bailey(params, policy, spec):
     bp = BaileyParams(qp=_qparams(params), a1=params["a1"], a2=params["a2"],
                       b1=params["b1"], b2=params["b2"], z=params["z"])
-    left = bilateral.bailey_series(bp, "left", policy)
-    right = bilateral.bailey_series(bp, "right", policy)
-    return left.value, right.value, _series_diag(left), _series_diag(right)
+    return (bilateral.bailey_series(bp, "left", policy),
+            bilateral.bailey_series(bp, "right", policy))
 
 
 def _bailey_binomial_sum(p: float, alpha: float, a1: float, b1: float,
                          a2: float, b2: float, theta: float,
-                         policy: TruncationPolicy) -> bilateral.SeriesEvaluation:
+                         policy: TruncationPolicy) -> Side:
     """sum_n [a1; b1+alpha n]_p [a2; b2+alpha n]_p p^(alpha n(n-1) + theta n)."""
     f1 = _binomial_factor(a1, b1, alpha, p)
     f2 = _binomial_factor(a2, b2, alpha, p)
@@ -322,8 +339,7 @@ def _arm_bailey_binomial(params, policy, spec):
     left = _bailey_binomial_sum(p, alpha, a1, b1, a2, b2, theta, policy)
     shifted = _bailey_binomial_sum(p, alpha, a1, b1 - theta, a2, b2 - theta,
                                    -theta, policy)
-    rhs = p ** theta * shifted.value
-    return left.value, rhs, _series_diag(left), _series_diag(shifted)
+    return left, shifted.scaled(p ** theta)
 
 
 def _multibasic_params(params: Mapping[str, Any]) -> MultibasicParams:
@@ -338,55 +354,46 @@ def _multibasic_params(params: Mapping[str, Any]) -> MultibasicParams:
 
 def _arm_multibasic(params, policy, spec):
     mp = _multibasic_params(params)
-    ev = bilateral.multibasic_series(mp, policy)
-    res = quadrature.multibasic_integral(mp, spec)
-    return ev.value, res.value, _series_diag(ev), _quad_diag(res)
+    return (bilateral.multibasic_series(mp, policy),
+            quadrature.multibasic_integral(mp, spec))
 
 
 def _arm_functional_eq1(params, policy, spec):
     sp = _series_params(params)
     p, q = sp.qp.p, sp.qp.q
-    lhs = bilateral.main_series(sp, policy)
-    t1 = bilateral.main_series(
-        SeriesParams(qp=sp.qp, a=sp.a, b=sp.b * p, z=sp.z), policy)
-    t2 = bilateral.main_series(
-        SeriesParams(qp=sp.qp, a=sp.a, b=sp.b * p, z=sp.z * q), policy)
-    return lhs.value, t1.value - sp.b * t2.value, _series_diag(lhs), {}
+    t1 = bilateral.main_series(replace(sp, b=sp.b * p), policy)
+    t2 = bilateral.main_series(replace(sp, b=sp.b * p, z=sp.z * q), policy)
+    return bilateral.main_series(sp, policy), t1 + t2.scaled(-sp.b)
 
 
 def _arm_functional_eq2(params, policy, spec):
     sp = _series_params(params)
     p, q = sp.qp.p, sp.qp.q
-    lhs = bilateral.main_series(sp, policy)
-    t1 = bilateral.main_series(
-        SeriesParams(qp=sp.qp, a=sp.a * p, b=sp.b, z=sp.z), policy)
-    t2 = bilateral.main_series(
-        SeriesParams(qp=sp.qp, a=sp.a * p, b=sp.b, z=sp.z / q), policy)
-    return lhs.value, t1.value - sp.a * t2.value, _series_diag(lhs), {}
+    t1 = bilateral.main_series(replace(sp, a=sp.a * p), policy)
+    t2 = bilateral.main_series(replace(sp, a=sp.a * p, z=sp.z / q), policy)
+    return bilateral.main_series(sp, policy), t1 + t2.scaled(-sp.a)
 
 
 def _arm_base_integral(params, policy, spec):
     q = params["q"]
-    res = quadrature.base_integral(q, spec)
     rhs = qpoch_inf(q, q, policy) * math.log(1.0 / float(abs(q)))
-    return res.value, rhs, _quad_diag(res), {}
+    return quadrature.base_integral(q, spec), Side(rhs, "product")
 
 
 def _arm_triple_product(params, policy, spec):
     z, q = complex(params["z"]), complex(params["q"])
-    lhs = theta_product(z, q, policy)
     term = lambda n: np.power(z, n) * np.power(q, n * (n - 1) // 2)
-    ev = _sum_pairs(term, _gaussian_decay(q, 0.0, z=z), policy)
-    return lhs, ev.value, {}, _series_diag(ev)
+    return (Side(theta_product(z, q, policy), "product"),
+            _sum_pairs(term, _gaussian_decay(q, 0.0, z=z), policy))
 
 
 def _arm_poisson(params, policy, spec):
-    m = int(params.get("m", 1))
+    m = _integer(params, "m", 1)
     if m == 0:
         raise InvalidParams("m must be a nonzero integer")
     sp = _series_params(params, z_default=1.0)
-    res = quadrature.fourier_integral(sp, 2.0 * math.pi * m, spec)
-    return res.value, 0.0, _quad_diag(res), {}
+    return (quadrature.fourier_integral(sp, 2.0 * math.pi * m, spec),
+            Side(0.0, "closed-form"))
 
 
 _DISPATCH = {
@@ -435,13 +442,10 @@ def sweep_points(ident: IdentityId, points: list[dict[str, Any]],
         try:
             return verify(ident, point, tol=tol, policy=policy, spec=spec)
         except InvalidParams as exc:
-            return IdentityReport(
-                id=ident, params=point, lhs=0.0, rhs=0.0,
-                abs_err=math.inf, rel_err=math.inf,
-                tol=tol if tol is not None else DEFAULT_TOL[ident],
-                passed=False,
-                lhs_diag={"status": "invalid_params", "reason": str(exc)},
-                rhs_diag={})
+            return make_report(
+                ident, point, 0.0, 0.0,
+                tol if tol is not None else DEFAULT_TOL[ident],
+                status="invalid_params", reason=str(exc))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Any
 
 import numpy as np
 
@@ -55,6 +56,51 @@ def default_policy(eps: float = 1e-12) -> TruncationPolicy:
     if env is not None:
         max_terms = int(env)
     return TruncationPolicy(eps=eps, max_terms=max_terms)
+
+
+SIDE_METHODS = ("series", "doubling", "trapezoid", "gauss-legendre",
+                "product", "closed-form")
+
+
+@dataclass(frozen=True)
+class Side:
+    """One side of an identity: its value and how it was computed.
+
+    method is one of SIDE_METHODS.  half_width_used is N for a series window
+    [-N, N] and Z for an integral over [-Z, Z].  Counts and estimates that a
+    method does not produce are 0.
+    """
+
+    value: complex
+    method: str
+    terms_used: int = 0
+    nodes_used: int = 0
+    half_width_used: float = 0
+    refinements_used: int = 0
+    tail_estimate: float = 0.0
+    error_estimate: float = 0.0
+
+    def scaled(self, c: complex) -> "Side":
+        """c times this side: the value times c, the estimates times |c|."""
+        return replace(self, value=c * self.value,
+                       tail_estimate=abs(c) * self.tail_estimate,
+                       error_estimate=abs(c) * self.error_estimate)
+
+    def __add__(self, other: "Side") -> "Side":
+        """The sum of two evaluations: values, counts and estimates add, the
+        window is the wider one and the method is this side's."""
+        return replace(
+            self, value=self.value + other.value,
+            terms_used=self.terms_used + other.terms_used,
+            nodes_used=self.nodes_used + other.nodes_used,
+            half_width_used=max(self.half_width_used, other.half_width_used),
+            refinements_used=self.refinements_used + other.refinements_used,
+            tail_estimate=self.tail_estimate + other.tail_estimate,
+            error_estimate=self.error_estimate + other.error_estimate)
+
+    def diagnostics(self) -> dict[str, Any]:
+        """Every field but value, in field order."""
+        return {k: v for k, v in vars(self).items() if k != "value"}
 
 
 @dataclass(frozen=True)

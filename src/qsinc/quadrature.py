@@ -25,6 +25,7 @@ from .errors import DomainError, InvalidDecay, InvalidParams, QuadratureFailure
 from .qcore import (
     MultibasicParams,
     SeriesParams,
+    Side,
     TruncationPolicy,
     _cpow,
     qpoch_inf,
@@ -60,17 +61,6 @@ class QuadratureSpec:
             raise InvalidParams("eps must be positive")
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Integral value with error estimate and truncation diagnostics."""
-
-    value: complex
-    error_estimate: float
-    half_width_used: float
-    refinements_used: int
-    nodes_used: int = 0
-
-
 def _gaussian_decay(q: complex, alpha: float, a: complex = 0.0,
                     b: complex = 0.0, z: complex = 1.0) -> tuple[float, float]:
     """Decay (g, r) of (b q^x, a q^-x; p)_inf / (-z q^x, -q^(1-x)/z; q)_inf.
@@ -96,7 +86,7 @@ def _decay_radius(decay: tuple[float, float], eps: float) -> float:
 
 
 def integrate_gaussian_decay(integrand, decay: tuple[float, float],
-                             spec: QuadratureSpec) -> QuadratureResult:
+                             spec: QuadratureSpec) -> Side:
     """Integrate f over R given the decay model |f| = O(r^|x| e^(-g x^2)).
 
     integrand must accept a numpy array of real nodes and return complex
@@ -142,10 +132,9 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
         if prev is not None:
             err = abs(value - prev)
             if err <= spec.eps * max(1.0, abs(value)):
-                return QuadratureResult(value=value, error_estimate=err,
-                                        half_width_used=z,
-                                        refinements_used=level - 1,
-                                        nodes_used=nodes)
+                return Side(value, "trapezoid", nodes_used=nodes,
+                            half_width_used=z, refinements_used=level - 1,
+                            error_estimate=err)
         if level == spec.max_refinements:
             break
         mids = h * (np.arange(-npts, npts) + off / 3 + 0.5)
@@ -223,12 +212,16 @@ def _fourier_integrand(params: SeriesParams, y: float):
     return lambda x: base(x) * np.exp(1j * y * x)
 
 
+def _binomial_normalizer(a: float, p: complex) -> complex:
+    """(p, p^(a+1); p)_inf, the denominator of [a; u]_p as a product ratio."""
+    return qpoch_inf(p, p, _POLICY) * qpoch_inf(_cpow(p, a + 1.0), p, _POLICY)
+
+
 def _binomial_factor(a: float, b_off: float, alpha: float, p: complex):
     """x -> [a; b_off + alpha x]_p as a ratio of infinite products."""
     pc = complex(p)
     lnp = cmath.log(pc)
-    const = (qpoch_inf(pc, pc, _POLICY)
-             * qpoch_inf(_cpow(pc, a + 1.0), pc, _POLICY))
+    const = _binomial_normalizer(a, pc)
     e1, e2 = _cpow(pc, b_off + 1.0), _cpow(pc, a - b_off + 1.0)
 
     def factor(x: np.ndarray) -> np.ndarray:
@@ -261,7 +254,7 @@ def _multibasic_decay(params: MultibasicParams) -> tuple[float, float]:
 
 
 def base_integral(q: complex, spec: QuadratureSpec,
-                  allow_complex: bool = False) -> QuadratureResult:
+                  allow_complex: bool = False) -> Side:
     """int_0^inf dt / (t (-t, -q/t; q)_inf), evaluated as ln(1/q) times the
     zeta-integral of 1 / (-q^zeta, -q^(1-zeta); q)_inf."""
     qc = complex(q)
@@ -278,7 +271,7 @@ def base_integral(q: complex, spec: QuadratureSpec,
 
 
 def main_integral(params: SeriesParams, spec: QuadratureSpec,
-                  continuation: bool = False) -> QuadratureResult:
+                  continuation: bool = False) -> Side:
     """Integral side of the main bilateral identity, prefactor included.
 
     (-z, -q/z; q)_inf int_R (b q^z/z, a z q^-z; p)_inf /
@@ -296,13 +289,12 @@ def main_integral(params: SeriesParams, spec: QuadratureSpec,
             * qpoch_inf_large(-qc / z, qc, _POLICY))
     f = _symmetric_integrand(replace(params, a=params.a * z,
                                      b=params.b / z, z=1.0))
-    res = integrate_gaussian_decay(f, _symmetric_decay(params), spec)
-    return replace(res, value=pref * res.value,
-                   error_estimate=abs(pref) * res.error_estimate)
+    return integrate_gaussian_decay(f, _symmetric_decay(params),
+                                    spec).scaled(pref)
 
 
 def symmetric_integral(params: SeriesParams,
-                       spec: QuadratureSpec) -> QuadratureResult:
+                       spec: QuadratureSpec) -> Side:
     """Integral side of the symmetric sum-equals-integral identity."""
     _require_off_negative_axis(params.z)
     return integrate_gaussian_decay(_symmetric_integrand(params),
@@ -310,7 +302,7 @@ def symmetric_integral(params: SeriesParams,
 
 
 def fourier_integral(params: SeriesParams, y: float,
-                     spec: QuadratureSpec) -> QuadratureResult:
+                     spec: QuadratureSpec) -> Side:
     """Fourier transform int_R g(x) e^(ixy) dx of the z=1 symmetric integrand."""
     if params.z != 1:
         raise InvalidParams("fourier_integral is defined at z = 1")
@@ -322,7 +314,7 @@ def fourier_integral(params: SeriesParams, y: float,
 
 
 def weighted_integral(params: SeriesParams, m: int,
-                      spec: QuadratureSpec) -> QuadratureResult:
+                      spec: QuadratureSpec) -> Side:
     """int_R g(x) q^(mx) dx for the z=1 symmetric integrand, m integer."""
     if params.z != 1:
         raise InvalidParams("weighted_integral is defined at z = 1")
@@ -331,7 +323,7 @@ def weighted_integral(params: SeriesParams, m: int,
 
 
 def multibasic_integral(params: MultibasicParams,
-                        spec: QuadratureSpec) -> QuadratureResult:
+                        spec: QuadratureSpec) -> Side:
     """Integral side of the two-base q-binomial identity."""
     _require_off_negative_axis(params.z)
     return integrate_gaussian_decay(_multibasic_integrand(params),

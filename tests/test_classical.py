@@ -90,7 +90,7 @@ class TestOsler:
     ])
     def test_matches_closed_form(self, a, b, alpha, theta, policy):
         value = osler_sum(OslerParams(a=a, b=b, alpha=alpha, theta=theta),
-                          policy)
+                          policy).value
         closed = (1.0 / alpha) * (1.0 + cmath.exp(1j * theta)) ** a
         assert rel_err(value, closed) < 1e-9
 
@@ -106,7 +106,7 @@ class TestOsler:
 class TestClassicalSumInt:
     def test_integer_order_sum_is_exact(self, policy):
         # binom(2, n) over integer n: 1 + 2^2 + 1 at l = 2
-        value, _ = classical_sum(2.0, 1.0, 2, policy)
+        value = classical_sum(2.0, 1.0, 2, policy).value
         assert value == pytest.approx(6.0, rel=1e-12)
 
     @pytest.mark.parametrize("a,alpha,l", [
@@ -116,8 +116,8 @@ class TestClassicalSumInt:
         (2.0, 0.5, 4),
     ])
     def test_sum_equals_integral(self, a, alpha, l, policy):
-        s, _ = classical_sum(a, alpha, l, policy)
-        i, _ = classical_integral(a, alpha, l, policy)
+        s = classical_sum(a, alpha, l, policy).value
+        i = classical_integral(a, alpha, l, policy).value
         assert rel_err(s, i) < 1e-6
 
     def test_report_helper(self, policy):

@@ -61,12 +61,23 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["params"]["z"] == "0.5+0.5i"
 
+    def test_missing_identity_usage_error(self, capsys):
+        for command in ("verify", "sweep", "limit"):
+            code, out, _ = run(capsys, command, "--q", "0.5")
+            assert code == 64 and out == ""
+
     def test_inconclusive_exit_three(self, capsys, monkeypatch):
         monkeypatch.setenv("QSINC_MAX_TERMS", "10")
-        code, _, _ = run(capsys, "verify", "--identity", "main",
-                         "--a", "0.2", "--b", "0.3", "--z", "1",
-                         "--q", "0.6", "--p", "0.3")
+        code, out, _ = run(capsys, "verify", "--identity", "main",
+                           "--a", "0.2", "--b", "0.3", "--z", "1",
+                           "--q", "0.6", "--p", "0.3")
         assert code == 3
+        # A failed point has no sides; status and reason sit on top.
+        diag = json.loads(out)["diagnostics"]
+        assert diag["status"] == "inconclusive"
+        assert diag["reason"].startswith("NoConvergence")
+        assert diag["lhs"] == diag["rhs"] == {}
+        assert diag["rule"] == "rel"
 
 
 class TestJsonFormat:
@@ -76,6 +87,22 @@ class TestJsonFormat:
                         "--q", "0.5", "--p", "0.2")
         parsed = json.loads(out)
         assert cli._json_dump(parsed) + "\n" == out
+
+    @pytest.mark.parametrize("argv", [
+        ("--identity", "osler", "--a", "2", "--alpha", "0.5"),
+        ("--identity", "main", "--a", "0.2", "--b", "0.3", "--z", "1",
+         "--q", "0.6", "--p", "0.3"),
+        ("--identity", "appell-lerch", "--a", "2", "--q", "0.5"),
+    ], ids=["osler", "main", "appell-lerch"])
+    def test_diagnostics_carry_both_sides(self, capsys, argv):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        diag = json.loads(out)["diagnostics"]
+        assert set(diag) == {"lhs", "rhs", "rule"}
+        assert list(diag["lhs"]) == list(diag["rhs"])
+        assert diag["rule"] in ("abs", "rel")
+        assert diag["lhs"]["method"] in ("doubling", "series")
+        assert diag["lhs"]["terms_used"] > 0
 
     def test_elapsed_zeroed_without_timing(self, capsys):
         _, out, _ = run(capsys, "verify", "--identity", "triple-product",
@@ -116,6 +143,14 @@ class TestSweepCommand:
         assert code == 1
         doc = json.loads(out)
         assert doc["summary"]["passed"] == 1
+
+    def test_seed_fills_randomized_defaults(self, capsys):
+        point = ("--identity", "invariance", "--a", "0.2", "--b", "0.3",
+                 "--z", "1", "--q", "0.6", "--p", "0.3", "--seed", "5")
+        _, out, _ = run(capsys, "verify", *point)
+        c = json.loads(out)["params"]["c"]
+        _, out, _ = run(capsys, "sweep", *point)
+        assert json.loads(out)["reports"][0]["params"]["c"] == c
 
     def test_csv_columns(self, capsys):
         code, out, _ = run(capsys, *self._FLAGS, "--format", "csv")
@@ -158,6 +193,20 @@ class TestLimitCommand:
         assert code == 0
         assert json.loads(out)[-1]["error"] <= 1e-6
 
+    def test_non_integral_l_rejected(self, capsys):
+        code, out, err = run(capsys, "limit", "--identity",
+                             "classical-sum-int", "--a", "2", "--l", "2.7",
+                             "--alpha", "0.5")
+        assert code == 2 and out == ""
+        assert "invalid parameters" in err
+
+    def test_inconclusive_ladder_exit_three(self, capsys, monkeypatch):
+        monkeypatch.setenv("QSINC_MAX_TERMS", "300")
+        code, out, err = run(capsys, "limit", "--identity", "osler",
+                             "--a", "2", "--alpha", "0.5")
+        assert code == 3 and out == ""
+        assert "SlowConvergence" in err
+
     def test_unsupported_identity(self, capsys):
         code, _, _ = run(capsys, "limit", "--identity", "main")
         assert code == 64
@@ -175,6 +224,22 @@ class TestCatalogCommand:
         code, out, _ = run(capsys, "catalog", "--format", "text")
         assert code == 0
         assert len(out.strip().splitlines()) == 17
+
+
+    def test_csv_format(self, capsys):
+        code, out, _ = run(capsys, "catalog", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["identity", "description"]
+        assert len(rows) == 18
+        assert dict(rows[1:])["functional-eq1"].startswith(
+            "contiguous relation in b: f(a,b,z)")
+
+    def test_parameter_flags_rejected(self, capsys):
+        for flags in (("--q", "0.5"), ("--identity", "main"),
+                      ("--allow-extreme",)):
+            code, out, _ = run(capsys, "catalog", *flags)
+            assert code == 64 and out == ""
 
 
 class TestOutputFile:

@@ -16,6 +16,7 @@ from qsinc import (
     verify,
 )
 from qsinc.identities import DEFAULT_TOL, expand_grid
+from qsinc.qcore import SIDE_METHODS, Side
 
 _POINTS = {
     IdentityId.Main: {"a": 0.2, "b": 0.3, "z": 1.0, "q": 0.6, "p": 0.3},
@@ -100,10 +101,54 @@ class TestVerify:
                                                 min_terms=4))
         assert not report.passed
         assert report.lhs_diag["status"] == "inconclusive"
+        assert report.lhs_diag["reason"].startswith("NoConvergence")
+        assert report.rhs_diag == {}
+        assert math.isinf(report.abs_err) and report.rule == "rel"
+
+    def test_non_integral_m_and_l_rejected(self):
+        # int() used to truncate them: m = 1.5 ran as m = 1, l = 2.7 as 2.
+        with pytest.raises(InvalidParams):
+            verify(IdentityId.WeightedM,
+                   dict(_POINTS[IdentityId.WeightedM], m=1.5))
+        with pytest.raises(InvalidParams):
+            verify(IdentityId.PoissonVanishing,
+                   dict(_POINTS[IdentityId.PoissonVanishing], m=1.5))
+        with pytest.raises(InvalidParams):
+            verify(IdentityId.ClassicalSumInt,
+                   {"a": 2.0, "alpha": 0.5, "l": 2.7})
+        report = verify(IdentityId.WeightedM,
+                        dict(_POINTS[IdentityId.WeightedM], m=2.0))
+        assert report.passed
 
     def test_elapsed_recorded(self):
         report = verify(IdentityId.TripleProduct, {"z": 0.8, "q": 0.5})
         assert report.elapsed >= 0.0
+
+
+class TestDiagnostics:
+    _KEYS = [name for name in Side.__dataclass_fields__ if name != "value"]
+
+    @pytest.mark.parametrize("ident", list(IdentityId),
+                             ids=lambda i: i.value)
+    def test_both_sides_share_one_schema(self, ident):
+        report = verify(ident, _POINTS[ident])
+        assert report.passed
+        for diag in (report.lhs_diag, report.rhs_diag):
+            assert list(diag) == self._KEYS
+            assert diag["method"] in SIDE_METHODS
+            if diag["method"] in ("series", "doubling"):
+                assert diag["terms_used"] > 0
+                assert diag["half_width_used"] > 0
+            if diag["method"] in ("trapezoid", "gauss-legendre"):
+                assert diag["nodes_used"] > 0
+                assert diag["half_width_used"] > 0
+        assert report.rule in ("abs", "rel")
+
+    def test_combined_side_adds_its_evaluations(self):
+        # f(a, b, z) = f(a, bp, z) - b f(a, bp, qz): two sums on the right.
+        report = verify(IdentityId.FunctionalEq1,
+                        _POINTS[IdentityId.FunctionalEq1])
+        assert report.rhs_diag["terms_used"] > report.lhs_diag["terms_used"]
 
 
 class TestReportRule:
@@ -117,6 +162,12 @@ class TestReportRule:
         assert report.passed == expected
         if scale > 0:
             assert report.rel_err == pytest.approx(report.abs_err / scale)
+
+    def test_rule_names_the_deciding_branch(self):
+        assert make_report(IdentityId.Main, {}, 1.0, 1.0 + 5e-9,
+                           1e-8).rule == "abs"
+        rel = make_report(IdentityId.Main, {}, 1e3, 1e3 + 5e-6, 1e-8)
+        assert rel.passed and rel.rule == "rel"
 
     def test_swap_symmetry(self):
         a = make_report(IdentityId.Main, {}, 1.0, 1.0 + 5e-9, 1e-8)

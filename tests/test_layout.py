@@ -1,24 +1,40 @@
-"""The benchmark tracer's name table matches the package.
+"""The benchmark's tracer name table and report checks match the package.
 
 perfbench/tracing.py wraps functions by the names they are bound to in each
-qsinc module.  A renamed or deleted binding breaks the benchmark; this test
-catches it without running the benchmark.
+qsinc module, and perfbench/workloads.py reads the verdict, the status and
+the reason out of reports and CLI output.  A renamed or deleted binding, or
+a moved report field, breaks the benchmark; these tests catch it without
+running the benchmark.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from qsinc import IdentityId, cli, verify
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Accepted, but the integrand overflows: inconclusive (QuadratureFailure).
+_OVERFLOW = {"a": 0.2, "b": 0.3, "z": 1.0, "q": 0.3, "p": 0.285}
+_PASSING = {"a": 0.2, "b": 0.3, "z": 1.0, "q": 0.6, "p": 0.3}
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"qsinc_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def _traced_bindings() -> list[tuple[object, str]]:
-    spec = importlib.util.spec_from_file_location("qsinc_tracing", _TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
     return [(module, name)
-            for _, module, names, _ in tracing.LAYERS for name in names]
+            for _, module, names, _ in _load("tracing").LAYERS
+            for name in names]
 
 
 _BINDINGS = _traced_bindings()
@@ -28,3 +44,33 @@ _BINDINGS = _traced_bindings()
                          ids=[f"{m.__name__}.{n}" for m, n in _BINDINGS])
 def test_traced_name_is_bound_and_callable(module, name):
     assert callable(getattr(module, name, None))
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
+
+
+def _cli_outcome(workloads, capsys, params):
+    op = workloads.Op("main", params)
+    code = cli.main(list(workloads.cli_argv("main", params)))
+    return workloads.judge_cli(op, code, capsys.readouterr().out)
+
+
+def test_judge_report_reads_the_failure(workloads):
+    report = verify(IdentityId.Main, _OVERFLOW)
+    out = workloads.judge_report(workloads.Op("main", _OVERFLOW), report)
+    assert out.failure == "inconclusive:QuadratureFailure"
+    assert out.incorrect is None
+
+
+def test_judge_cli_reads_the_failure(workloads, capsys):
+    out = _cli_outcome(workloads, capsys, _OVERFLOW)
+    assert out.failure == "inconclusive:QuadratureFailure"
+    assert out.incorrect is None
+
+
+def test_judge_cli_passes_a_passing_verify(workloads, capsys):
+    out = _cli_outcome(workloads, capsys, _PASSING)
+    assert out.failure is None and out.incorrect is None
+    assert out.margin is not None

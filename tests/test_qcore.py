@@ -13,6 +13,7 @@ from qsinc import (
     InvalidParams,
     PoleAtNonpositiveInteger,
     QParams,
+    Side,
     TruncationPolicy,
     default_policy,
     qbinomial,
@@ -89,6 +90,32 @@ class TestQpoch:
             vec = qpoch_inf_vec(np.array([np.inf, np.nan, 0.3]), 0.5)
         assert not np.isfinite(vec[:2]).any()
         assert rel_err(vec[2], qpoch_inf(0.3, 0.5, policy)) < 1e-12
+
+
+class TestSide:
+    def test_scaled_scales_value_and_estimates(self):
+        side = Side(2.0 + 1.0j, "series", terms_used=9, half_width_used=4,
+                    tail_estimate=1e-12, error_estimate=3e-13)
+        out = side.scaled(-3.0j)
+        assert out.value == -3.0j * (2.0 + 1.0j)
+        assert out.tail_estimate == 3e-12
+        assert out.error_estimate == pytest.approx(9e-13, rel=1e-15)
+        assert (out.method, out.terms_used, out.half_width_used) == \
+            ("series", 9, 4)
+
+    def test_sum_adds_counts_and_estimates(self):
+        a = Side(1.0, "gauss-legendre", nodes_used=8, half_width_used=64.0,
+                 refinements_used=1, tail_estimate=1e-9, error_estimate=2e-9)
+        b = Side(0.5, "trapezoid", nodes_used=16, half_width_used=32.0,
+                 tail_estimate=1e-10, error_estimate=1e-10)
+        total = a + b
+        assert total.value == 1.5
+        assert total.method == "gauss-legendre"
+        assert total.nodes_used == 24
+        assert total.half_width_used == 64.0
+        assert total.refinements_used == 1
+        assert total.tail_estimate == pytest.approx(1.1e-9)
+        assert total.error_estimate == pytest.approx(2.1e-9)
 
 
 class TestQParams:
