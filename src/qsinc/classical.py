@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, gammasgn
 
 from .errors import (
     IndeterminateRatio,
@@ -76,6 +74,8 @@ def binomial_real(a: float, u: float) -> float:
 
 def binomial_profile(a: float, u: np.ndarray) -> np.ndarray:
     """Vectorized binomial_real; denominator poles map to zeros."""
+    from scipy.special import gammaln, gammasgn  # lazy: scipy is slow to load
+
     u = np.asarray(u, dtype=float)
     s = u + 1.0
     t = a - u + 1.0
@@ -93,6 +93,8 @@ def binomial_bandlimit_integral(a: float, u: float,
     (1/2pi) int_{-pi}^{pi} (1+e^{it})^a e^{-iut} dt; requires a > -1 for
     integrability of the endpoint behavior.
     """
+    from scipy.integrate import quad  # lazy: scipy is slow to load
+
     if a <= -1.0:
         raise InvalidParams(f"need a > -1, got {a}")
 

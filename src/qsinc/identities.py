@@ -165,8 +165,25 @@ def make_report(ident: IdentityId, params: Mapping[str, Any], lhs: complex,
                           rhs_diag=rhs_diag or {}, elapsed=elapsed)
 
 
+def _required(params: Mapping[str, Any], *names: str) -> tuple[Any, ...]:
+    """The values of names in params; a missing one is InvalidParams."""
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise InvalidParams(f"missing parameter {', '.join(missing)}")
+    return tuple(params[name] for name in names)
+
+
+def _unit_real(params: Mapping[str, Any], name: str) -> float:
+    """params[name], which must be a real number in (0, 1)."""
+    (value,) = _required(params, name)
+    if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
+        raise InvalidParams(f"need real 0 < {name} < 1, got {value}")
+    return float(value)
+
+
 def _qparams(params: Mapping[str, Any]) -> QParams:
-    return QParams(p=params["p"], q=params["q"],
+    p, q = _required(params, "p", "q")
+    return QParams(p=p, q=q,
                    allow_extreme=bool(params.get("allow_extreme", False)))
 
 
@@ -184,6 +201,8 @@ def _integer(params: Mapping[str, Any], name: str,
     """params[name] as an int: a value that is not integral (or is missing)
     is rejected, not truncated."""
     value = params.get(name, default)
+    if value is None:
+        _required(params, name)
     if not (isinstance(value, numbers.Real) and float(value).is_integer()):
         raise InvalidParams(f"{name} must be an integer, got {value}")
     return int(value)
@@ -234,12 +253,8 @@ def _arm_symmetric(params, policy, spec):
 
 
 def _arm_qbinomial(params, policy, spec):
-    a, b = params["a"], params["b"]
-    alpha, p, z = params["alpha"], params["p"], params["z"]
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParams(f"need 0 < alpha < 1, got {alpha}")
-    if not 0.0 < p < 1.0:
-        raise InvalidParams(f"need 0 < p < 1, got {p}")
+    a, b, z = _required(params, "a", "b", "z")
+    alpha, p = _unit_real(params, "alpha"), _unit_real(params, "p")
     q = p ** alpha
     # [a; b+alpha x]_p = (p^(b+1) q^x, p^(a-b+1) q^-x; p)_inf / C,
     # so the identity is the symmetric form at mapped arguments.
@@ -251,15 +266,17 @@ def _arm_qbinomial(params, policy, spec):
 
 
 def _arm_osler(params, policy, spec):
-    op = OslerParams(a=params["a"], b=params.get("b", 0.0),
-                     alpha=params["alpha"], theta=params.get("theta", 0.0))
+    a, alpha = _required(params, "a", "alpha")
+    op = OslerParams(a=a, b=params.get("b", 0.0), alpha=alpha,
+                     theta=params.get("theta", 0.0))
     v = cmath.exp(1j * op.theta)
     return (classical.osler_sum(op, policy),
             Side((1.0 / op.alpha) * (1.0 + v) ** op.a, "closed-form"))
 
 
 def _arm_classical_sum_int(params, policy, spec):
-    a, alpha, l = params["a"], params["alpha"], _integer(params, "l")
+    a, alpha = _required(params, "a", "alpha")
+    l = _integer(params, "l")
     if a <= 0.0:
         raise InvalidParams(f"need a > 0, got {a}")
     if l < 1:
@@ -271,7 +288,7 @@ def _arm_classical_sum_int(params, policy, spec):
 
 
 def _arm_appell_lerch(params, policy, spec):
-    a, q = complex(params["a"]), complex(params["q"])
+    a, q = map(complex, _required(params, "a", "q"))
     qp = QParams(p=q * q, q=q)
     sp = SeriesParams(qp=qp, a=q * q / a, b=a * q * q, z=1.0)
     return (bilateral.main_series(sp, policy),
@@ -289,7 +306,7 @@ def _arm_invariance(params, policy, spec):
 
 
 def _arm_fourier(params, policy, spec):
-    y = float(params["y"])
+    y = float(_required(params, "y")[0])
     sp = _series_params(params, z_default=1.0)
     return (quadrature.fourier_integral(sp, y, spec),
             bilateral.fourier_series_side(sp, y, policy))
@@ -303,8 +320,8 @@ def _arm_weighted(params, policy, spec):
 
 
 def _arm_bailey(params, policy, spec):
-    bp = BaileyParams(qp=_qparams(params), a1=params["a1"], a2=params["a2"],
-                      b1=params["b1"], b2=params["b2"], z=params["z"])
+    a1, a2, b1, b2, z = _required(params, "a1", "a2", "b1", "b2", "z")
+    bp = BaileyParams(qp=_qparams(params), a1=a1, a2=a2, b1=b1, b2=b2, z=z)
     return (bilateral.bailey_series(bp, "left", policy),
             bilateral.bailey_series(bp, "right", policy))
 
@@ -328,13 +345,8 @@ def _bailey_binomial_sum(p: float, alpha: float, a1: float, b1: float,
 
 
 def _arm_bailey_binomial(params, policy, spec):
-    p, alpha = params["p"], params["alpha"]
-    if not 0.0 < p < 1.0:
-        raise InvalidParams(f"need 0 < p < 1, got {p}")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParams(f"need 0 < alpha < 1, got {alpha}")
-    a1, b1 = params["a1"], params["b1"]
-    a2, b2 = params["a2"], params["b2"]
+    p, alpha = _unit_real(params, "p"), _unit_real(params, "alpha")
+    a1, b1, a2, b2 = _required(params, "a1", "b1", "a2", "b2")
     theta = params.get("theta", 0.0)
     left = _bailey_binomial_sum(p, alpha, a1, b1, a2, b2, theta, policy)
     shifted = _bailey_binomial_sum(p, alpha, a1, b1 - theta, a2, b2 - theta,
@@ -343,13 +355,13 @@ def _arm_bailey_binomial(params, policy, spec):
 
 
 def _multibasic_params(params: Mapping[str, Any]) -> MultibasicParams:
-    kwargs = dict(p1=params["p1"], p2=params["p2"], a1=params["a1"],
-                  b1=params["b1"], a2=params["a2"], b2=params["b2"],
+    names = ("p1", "p2", "a1", "b1", "a2", "b2")
+    kwargs = dict(zip(names, _required(params, *names)),
                   z=params.get("z", 1.0))
     if "q" in params:
         return MultibasicParams(q=params["q"], **kwargs)
-    return MultibasicParams.from_alpha_sum(alpha_sum=params["alpha_sum"],
-                                           **kwargs)
+    (alpha_sum,) = _required(params, "alpha_sum")
+    return MultibasicParams.from_alpha_sum(alpha_sum=alpha_sum, **kwargs)
 
 
 def _arm_multibasic(params, policy, spec):
@@ -375,13 +387,13 @@ def _arm_functional_eq2(params, policy, spec):
 
 
 def _arm_base_integral(params, policy, spec):
-    q = params["q"]
+    (q,) = _required(params, "q")
     rhs = qpoch_inf(q, q, policy) * math.log(1.0 / float(abs(q)))
     return quadrature.base_integral(q, spec), Side(rhs, "product")
 
 
 def _arm_triple_product(params, policy, spec):
-    z, q = complex(params["z"]), complex(params["q"])
+    z, q = map(complex, _required(params, "z", "q"))
     term = lambda n: np.power(z, n) * np.power(q, n * (n - 1) // 2)
     return (Side(theta_product(z, q, policy), "product"),
             _sum_pairs(term, _gaussian_decay(q, 0.0, z=z), policy))

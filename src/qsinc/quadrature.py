@@ -9,13 +9,17 @@ so each identity defines its integrand once, here.  The series side
 on the lattice h (k + 1/3), whose midpoint refinements alternate the offset
 between 1/3 and 2/3 and so never reach an integer: the two sides share code
 but no samples.  For such integrands the refined trapezoid rule on a
-truncated window converges spectrally; the error estimate is the difference
-of the last two refinement levels.
+truncated window converges spectrally, so the rule starts coarse, at 2 nodes
+per unit, and the error estimate is the difference of the last two
+refinement levels.  Each level is sampled in chunks of _CHUNK nodes, so the
+node-by-factor matrices of the products stay small, and one integral may use
+at most QuadratureSpec.max_nodes nodes.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -42,21 +46,34 @@ _RADIUS_SAFETY = 1.25
 # double precision.
 _POLICY = TruncationPolicy(eps=1e-16)
 
+# Nodes per integrand call: bounds the node-by-factor matrix of each
+# vectorized product, however large the level.
+_CHUNK = 512
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Domain truncation and refinement controls."""
+    """Domain truncation and refinement controls.
+
+    The first level has nodes_per_unit nodes per unit (at least 2, so the
+    spacing is at most 1/2); each refinement halves the spacing until two
+    levels agree to eps.  max_nodes caps the nodes of one integral, edge
+    probes aside: a level that would exceed it raises QuadratureFailure
+    instead of being sampled.
+    """
 
     half_width: float = 1.0
-    nodes_per_unit: int = 16
-    max_refinements: int = 10
+    nodes_per_unit: int = 2
+    max_nodes: int = 2 ** 18
     eps: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.half_width <= 0.0:
             raise InvalidParams("half_width must be positive")
-        if self.nodes_per_unit < 8:
-            raise InvalidParams("nodes_per_unit must be >= 8")
+        if self.nodes_per_unit < 2:
+            raise InvalidParams("nodes_per_unit must be >= 2")
+        if self.max_nodes < 1:
+            raise InvalidParams("max_nodes must be positive")
         if self.eps <= 0.0:
             raise InvalidParams("eps must be positive")
 
@@ -90,22 +107,27 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
     """Integrate f over R given the decay model |f| = O(r^|x| e^(-g x^2)).
 
     integrand must accept a numpy array of real nodes and return complex
-    values.  decay = (g, r) with g > 0 in natural-log units.  No node is an
-    integer, so the integral never samples the series' lattice.  Every
-    sample enters the value, so the first non-finite one raises
-    QuadratureFailure.
+    values; it is called on at most _CHUNK nodes at a time.  decay = (g, r)
+    with g > 0 in natural-log units.  No node is an integer, so the integral
+    never samples the series' lattice.  Every sample enters the value, so
+    the first non-finite one raises QuadratureFailure, and so does a level
+    that would take the integral past spec.max_nodes.
     """
     g, r = decay
     if g <= 0.0:
         raise InvalidDecay(f"Gaussian rate must be positive, got {g}")
 
     def sample(x: np.ndarray) -> np.ndarray:
-        v = np.asarray(integrand(x), dtype=complex)
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            raise QuadratureFailure(
-                f"non-finite integrand sample at x={x[bad[0]]:.17g}")
-        return v
+        out = np.empty(x.size, dtype=complex)
+        for lo in range(0, x.size, _CHUNK):
+            with np.errstate(all="ignore"):
+                v = np.asarray(integrand(x[lo:lo + _CHUNK]), dtype=complex)
+            bad = np.flatnonzero(~np.isfinite(v))
+            if bad.size:
+                raise QuadratureFailure(
+                    f"non-finite integrand sample at x={x[lo + bad[0]]:.17g}")
+            out[lo:lo + _CHUNK] = v
+        return out
 
     z = max(spec.half_width,
             _RADIUS_SAFETY * _decay_radius(decay, spec.eps / 10.0))
@@ -124,31 +146,30 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
         z *= 1.25
 
     npts = math.ceil(z / h)
-    total = fsum_complex(sample(h * (np.arange(-npts, npts + 1) + off / 3)))
-    nodes = 2 * npts + 1
-    value = h * total
-    prev = None
-    for level in range(spec.max_refinements + 1):
+    xs = h * (np.arange(-npts, npts + 1) + off / 3)
+    total, nodes = 0j, 0
+    value = prev = None
+    for level in itertools.count():
+        if nodes + xs.size > spec.max_nodes:
+            last = ("no estimate yet" if prev is None else
+                    f"last estimate {value:.17g} changed by "
+                    f"{abs(value - prev):.2e}")
+            raise QuadratureFailure(
+                f"level {level} needs {nodes + xs.size} nodes, above "
+                f"max_nodes={spec.max_nodes}; {last}")
+        total += fsum_complex(sample(xs))
+        nodes += xs.size
+        prev, value = value, h * total
         if prev is not None:
             err = abs(value - prev)
             if err <= spec.eps * max(1.0, abs(value)):
                 return Side(value, "trapezoid", nodes_used=nodes,
                             half_width_used=z, refinements_used=level - 1,
                             error_estimate=err)
-        if level == spec.max_refinements:
-            break
-        mids = h * (np.arange(-npts, npts) + off / 3 + 0.5)
-        total = total + fsum_complex(sample(mids))
-        nodes += mids.size
+        xs = h * (np.arange(-npts, npts) + off / 3 + 0.5)
         h /= 2.0
         npts *= 2
         off = 2 * off % 3
-        prev = value
-        value = h * total
-    raise QuadratureFailure(
-        f"error estimate {abs(value - prev):.2e} above eps={spec.eps} "
-        f"after {spec.max_refinements} refinements"
-    )
 
 
 def _qpoch_pair(u: np.ndarray, v: np.ndarray, base: complex) -> np.ndarray:

@@ -2,6 +2,10 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +26,20 @@ from qsinc import (
     verify,
 )
 
+import qsinc
 from conftest import rel_err
+
+
+def test_import_skips_scipy():
+    # scipy is most of the import time and only the classical side needs it.
+    src = str(Path(qsinc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qsinc; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestBinomialReal:

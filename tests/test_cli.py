@@ -35,6 +35,18 @@ class TestVerifyCommand:
         assert out == ""
         assert "invalid parameters" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("fourier", "--a", ".1", "--b", ".2", "--q", ".5", "--p", ".2"),
+        ("qbinomial", "--a", "2", "--b", "1", "--alpha", ".5",
+         "--p", "0.3+0.1i", "--z", "1"),
+    ], ids=["missing-y", "complex-p"])
+    def test_bad_parameter_exit_two(self, capsys, argv):
+        # These escaped as KeyError and TypeError tracebacks (exit 1).
+        code, out, err = run(capsys, "verify", "--identity", *argv)
+        assert code == 2
+        assert out == ""
+        assert "invalid parameters" in err
+
     def test_base_integral_closed_form(self, capsys):
         code, out, _ = run(capsys, "verify", "--identity", "base-integral",
                            "--q", "0.5")

@@ -1,6 +1,7 @@
 """Verification harness: dispatch, report rules, sweeps."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,27 @@ _POINTS = {
     IdentityId.TripleProduct: {"z": 0.8, "q": 0.5},
     IdentityId.PoissonVanishing: {"a": 0.1, "b": 0.2, "q": 0.5, "p": 0.2,
                                   "m": 1},
+}
+
+# The keys of each reference point that have no default.
+_REQUIRED = {
+    IdentityId.Main: {"p", "q", "z"},
+    IdentityId.Symmetric: {"p", "q", "z"},
+    IdentityId.QBinomialForm: {"a", "b", "alpha", "p", "z"},
+    IdentityId.Osler: {"a", "alpha"},
+    IdentityId.ClassicalSumInt: {"a", "alpha", "l"},
+    IdentityId.AppellLerch: {"a", "q"},
+    IdentityId.Invariance: {"p", "q", "z"},
+    IdentityId.Fourier: {"p", "q", "y"},
+    IdentityId.WeightedM: {"p", "q", "m"},
+    IdentityId.Bailey: {"a1", "a2", "b1", "b2", "z", "p", "q"},
+    IdentityId.BaileyBinomial: {"p", "alpha", "a1", "b1", "a2", "b2"},
+    IdentityId.Multibasic: {"p1", "p2", "alpha_sum", "a1", "b1", "a2", "b2"},
+    IdentityId.FunctionalEq1: {"p", "q", "z"},
+    IdentityId.FunctionalEq2: {"p", "q", "z"},
+    IdentityId.BaseIntegral: {"q"},
+    IdentityId.TripleProduct: {"z", "q"},
+    IdentityId.PoissonVanishing: {"p", "q"},
 }
 
 
@@ -119,6 +141,44 @@ class TestVerify:
         report = verify(IdentityId.WeightedM,
                         dict(_POINTS[IdentityId.WeightedM], m=2.0))
         assert report.passed
+
+    @pytest.mark.parametrize("ident", list(IdentityId),
+                             ids=lambda i: i.value)
+    def test_missing_parameter_is_invalid(self, ident):
+        # Arms used to index params directly, so a missing key escaped as
+        # KeyError; a key with a default may be dropped.
+        point = _POINTS[ident]
+        assert _REQUIRED[ident] <= point.keys()
+        for key in point:
+            dropped = {k: v for k, v in point.items() if k != key}
+            if key in _REQUIRED[ident]:
+                with pytest.raises(InvalidParams, match=f"missing .*{key}"):
+                    verify(ident, dropped)
+            else:
+                assert verify(ident, dropped).id is ident
+
+    @pytest.mark.parametrize("ident", [IdentityId.QBinomialForm,
+                                       IdentityId.BaileyBinomial],
+                             ids=lambda i: i.value)
+    @pytest.mark.parametrize("key", ["p", "alpha"])
+    def test_complex_p_or_alpha_rejected(self, ident, key):
+        # Both arms compare p and alpha with <, which a complex value made
+        # a TypeError.
+        point = dict(_POINTS[ident])
+        point[key] = point[key] + 0.1j
+        with pytest.raises(InvalidParams, match=f"real 0 < {key} < 1"):
+            verify(ident, point)
+
+    def test_overflowing_integrand_fails_without_warnings(self):
+        # The integrand overflows to inf/inf; the first non-finite sample
+        # fails the integral, and numpy must not warn on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify(IdentityId.Main, {"a": 0.2, "b": 0.3, "z": 1.0,
+                                              "q": 0.3, "p": 0.285})
+        assert not report.passed
+        assert report.lhs_diag["status"] == "inconclusive"
+        assert report.lhs_diag["reason"].startswith("QuadratureFailure")
 
     def test_elapsed_recorded(self):
         report = verify(IdentityId.TripleProduct, {"z": 0.8, "q": 0.5})

@@ -1,6 +1,8 @@
 """Quadrature on the log-substituted line: truncation, refinement, guards."""
 
+import cmath
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +31,7 @@ from qsinc import (
     weighted_series,
 )
 from qsinc.errors import InvalidDecay
+from qsinc.quadrature import _CHUNK
 
 from conftest import rel_err
 
@@ -109,11 +112,30 @@ class TestGaussianDecay:
             integrate_gaussian_decay(f, (1.0, 1.0), QuadratureSpec())
         assert len(calls) == 3
 
+    def test_node_budget_caps_an_integral(self, spec):
+        # Seeded 1e-8 noise keeps successive levels about 1e-7 / sqrt(nodes)
+        # apart, so the estimate never reaches eps within the budget.
+        rng = np.random.default_rng(0)
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-x * x) + 1e-8 * rng.standard_normal(x.size)
+
+        with pytest.raises(QuadratureFailure,
+                           match=r"max_nodes=262144; last estimate"):
+            integrate_gaussian_decay(f, (1.0, 1.0), spec)
+        assert max(sizes) <= _CHUNK
+        # The level nodes, plus at most four two-node edge probes.
+        assert sum(sizes) <= spec.max_nodes + 8
+
     def test_spec_validation(self):
         with pytest.raises(InvalidParams):
             QuadratureSpec(half_width=0.0)
         with pytest.raises(InvalidParams):
-            QuadratureSpec(nodes_per_unit=4)
+            QuadratureSpec(nodes_per_unit=1)
+        with pytest.raises(InvalidParams):
+            QuadratureSpec(max_nodes=0)
 
 
 class TestBaseIntegral:
@@ -130,6 +152,13 @@ class TestBaseIntegral:
 
 
 class TestMainIntegral:
+    def test_coarse_start(self, spec):
+        # Spectral convergence: h = 1/2 and h = 1/4 already agree to
+        # roundoff; a start at 16 nodes per unit used 1249 nodes.
+        res = main_integral(_sp(0.2, 0.3, 1.0, 0.6, 0.3), spec)
+        assert res.nodes_used <= 200
+        assert res.error_estimate <= 1e-14
+
     @pytest.mark.parametrize("z", [1.0, 0.5 + 0.5j, 2.0])
     def test_matches_series(self, z, spec, policy):
         params = _sp(0.2, 0.3, z, 0.6, 0.3)
@@ -159,6 +188,17 @@ class TestSymmetricIntegral:
     def test_negative_axis_rejected(self, spec):
         with pytest.raises(InvalidParams):
             symmetric_integral(_sp(0.1, 0.2, -0.7, 0.5, 0.2), spec)
+
+    def test_hard_point_fails_typed_and_fast(self):
+        # z near the negative axis puts the denominator's zeros near R, so
+        # the levels converge slowly; unbounded refinement exhausted memory.
+        params = _sp(0.3 - 0.2j, -0.4, 0.5 * cmath.exp(0.9j * math.pi),
+                     0.9, 0.18)
+        start = time.perf_counter()
+        with pytest.raises(QuadratureFailure, match="max_nodes=16384"):
+            symmetric_integral(params,
+                               QuadratureSpec(eps=1e-11, max_nodes=2 ** 14))
+        assert time.perf_counter() - start < 5.0
 
 
 class TestFourierIntegral:
