@@ -12,7 +12,6 @@ from .bilateral import (
 )
 from .classical import (
     OslerParams,
-    binomial_bandlimit_integral,
     binomial_profile,
     binomial_real,
     classical_integral,

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DenominatorZero, InvalidParams, KernelPole, NoConvergence
+from .errors import InvalidParams, KernelPole, NoConvergence
 from .qcore import (
     BaileyParams,
     MultibasicParams,
@@ -31,13 +31,13 @@ from .qcore import (
     qpoch_inf_large,
 )
 from .quadrature import (
+    _check_denominator,
     _decay_radius,
     _fourier_integrand,
     _gaussian_decay,
     _multibasic_decay,
     _multibasic_integrand,
     _qpoch_pair,
-    _require_off_negative_axis,
     _symmetric_decay,
     _symmetric_integrand,
     _weighted_decay,
@@ -123,19 +123,6 @@ def _bailey_decay(q: complex, alpha: float, pairs,
     return 2.0 * decays[0][0], max(r for _, r in decays)
 
 
-def _check_denominator_factors(z: complex, q: complex) -> None:
-    """Reject z for which some factor 1 + z q^m (m in Z) vanishes.
-
-    The factors 1 + q^m / z of the same denominators are covered too: one
-    vanishes exactly when 1 + z q^-m does.
-    """
-    m = _vanishing_factor(-complex(z), q)
-    if m is not None:
-        raise DenominatorZero(
-            f"denominator factor 1 + z q^{m} vanishes (z={z})"
-        )
-
-
 def main_series(params: SeriesParams,
                 policy: TruncationPolicy) -> Side:
     """Bilateral sum of (b q^n, a q^-n; p)_inf z^n q^(n(n-1)/2)."""
@@ -146,8 +133,7 @@ def main_series(params: SeriesParams,
 def symmetric_series(params: SeriesParams,
                      policy: TruncationPolicy) -> Side:
     """Bilateral sum of (b q^n, a q^-n; p)_inf / (-z q^n, -q^(1-n)/z; q)_inf."""
-    _require_off_negative_axis(params.z)
-    _check_denominator_factors(params.z, params.qp.q)
+    _check_denominator(params.z, params.qp.q)
     return _sum_pairs(_symmetric_integrand(params), _symmetric_decay(params),
                       policy)
 
@@ -262,8 +248,7 @@ def appell_lerch_rhs(a: complex, q: complex,
 
 def multibasic_series(params: MultibasicParams,
                       policy: TruncationPolicy) -> Side:
-    """Bilateral sum of the two-base q-binomial terms."""
-    _require_off_negative_axis(params.z)
-    _check_denominator_factors(params.z, params.q)
+    """Bilateral sum of the multibasic q-binomial terms."""
+    _check_denominator(params.z, params.q)
     return _sum_pairs(_multibasic_integrand(params), _multibasic_decay(params),
                       policy)

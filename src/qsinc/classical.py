@@ -86,33 +86,6 @@ def binomial_profile(a: float, u: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(out), out, 0.0)
 
 
-def binomial_bandlimit_integral(a: float, u: float,
-                                nodes: int = 200) -> complex:
-    """Band-limited integral form of the binomial coefficient.
-
-    (1/2pi) int_{-pi}^{pi} (1+e^{it})^a e^{-iut} dt; requires a > -1 for
-    integrability of the endpoint behavior.
-    """
-    from scipy.integrate import quad  # lazy: scipy is slow to load
-
-    if a <= -1.0:
-        raise InvalidParams(f"need a > -1, got {a}")
-
-    def integrand(t: float, part: str) -> float:
-        v = (1.0 + np.exp(1j * t)) ** a * np.exp(-1j * u * t)
-        return v.real if part == "re" else v.imag
-
-    re, re_err = quad(integrand, -math.pi, math.pi, args=("re",),
-                      limit=nodes, epsabs=1e-12, epsrel=1e-12)
-    im, im_err = quad(integrand, -math.pi, math.pi, args=("im",),
-                      limit=nodes, epsabs=1e-12, epsrel=1e-12)
-    if re_err + im_err > 1e-8:
-        raise QuadratureFailure(
-            f"band-limit integral error estimate {re_err + im_err:.2e}"
-        )
-    return complex(re / (2.0 * math.pi), im / (2.0 * math.pi))
-
-
 def _bilateral_doubling(block_sum, policy: TruncationPolicy,
                         start: int = 256) -> Side:
     """Sum f over Z by doubling symmetric windows until the rings stabilize.

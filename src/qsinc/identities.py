@@ -22,7 +22,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from . import bilateral, classical, quadrature
-from .bilateral import _bailey_decay, _masked_terms, _sum_pairs
+from .bilateral import _sum_pairs
 from .classical import OslerParams
 from .errors import InvalidGrid, InvalidParams, QsincError
 from .qcore import (
@@ -36,12 +36,7 @@ from .qcore import (
     qpoch_inf,
     theta_product,
 )
-from .quadrature import (
-    QuadratureSpec,
-    _binomial_factor,
-    _binomial_normalizer,
-    _gaussian_decay,
-)
+from .quadrature import QuadratureSpec, _binomial_normalizer, _gaussian_decay
 
 
 class IdentityId(Enum):
@@ -78,7 +73,7 @@ CATALOG: dict[IdentityId, str] = {
     IdentityId.WeightedM: "q^(mx)-weighted integral equals the weighted sum",
     IdentityId.Bailey: "four-product bilateral transformation, left vs right",
     IdentityId.BaileyBinomial: "q-binomial form of the four-product transformation",
-    IdentityId.Multibasic: "two-base q-binomial sum equals integral",
+    IdentityId.Multibasic: "multibasic q-binomial sum equals integral",
     IdentityId.FunctionalEq1: "contiguous relation in b: f(a,b,z)=f(a,bp,z)-b f(a,bp,qz)",
     IdentityId.FunctionalEq2: "contiguous relation in a: f(a,b,z)=f(ap,b,z)-a f(ap,b,z/q)",
     IdentityId.BaseIntegral: "base dt/t integral equals (q;q)_inf ln(1/q)",
@@ -181,10 +176,19 @@ def _unit_real(params: Mapping[str, Any], name: str) -> float:
     return float(value)
 
 
+def _allow_extreme(params: Mapping[str, Any]) -> bool:
+    return bool(params.get("allow_extreme", False))
+
+
 def _qparams(params: Mapping[str, Any]) -> QParams:
     p, q = _required(params, "p", "q")
-    return QParams(p=p, q=q,
-                   allow_extreme=bool(params.get("allow_extreme", False)))
+    return QParams(p=p, q=q, allow_extreme=_allow_extreme(params))
+
+
+def _binomial_qparams(params: Mapping[str, Any]) -> QParams:
+    """The base pair (p, q = p^alpha) of the q-binomial arms."""
+    alpha, p = _unit_real(params, "alpha"), _unit_real(params, "p")
+    return QParams(p=p, q=p ** alpha, allow_extreme=_allow_extreme(params))
 
 
 def _series_params(params: Mapping[str, Any],
@@ -254,12 +258,11 @@ def _arm_symmetric(params, policy, spec):
 
 def _arm_qbinomial(params, policy, spec):
     a, b, z = _required(params, "a", "b", "z")
-    alpha, p = _unit_real(params, "alpha"), _unit_real(params, "p")
-    q = p ** alpha
+    qp = _binomial_qparams(params)
+    p = qp.p
     # [a; b+alpha x]_p = (p^(b+1) q^x, p^(a-b+1) q^-x; p)_inf / C,
     # so the identity is the symmetric form at mapped arguments.
-    sp = SeriesParams(qp=QParams(p=p, q=q), a=p ** (a - b + 1.0),
-                      b=p ** (b + 1.0), z=z)
+    sp = SeriesParams(qp=qp, a=p ** (a - b + 1.0), b=p ** (b + 1.0), z=z)
     inv_c = 1.0 / _binomial_normalizer(a, p)
     return (bilateral.symmetric_series(sp, policy).scaled(inv_c),
             quadrature.symmetric_integral(sp, spec).scaled(inv_c))
@@ -326,42 +329,34 @@ def _arm_bailey(params, policy, spec):
             bilateral.bailey_series(bp, "right", policy))
 
 
-def _bailey_binomial_sum(p: float, alpha: float, a1: float, b1: float,
-                         a2: float, b2: float, theta: float,
-                         policy: TruncationPolicy) -> Side:
-    """sum_n [a1; b1+alpha n]_p [a2; b2+alpha n]_p p^(alpha n(n-1) + theta n)."""
-    f1 = _binomial_factor(a1, b1, alpha, p)
-    f2 = _binomial_factor(a2, b2, alpha, p)
-    # Four-product terms over the base pair (p, q = p^alpha) at z = p^theta.
-    pairs = ((p ** (a1 - b1 + 1.0), p ** (b1 + 1.0)),
-             (p ** (a2 - b2 + 1.0), p ** (b2 + 1.0)))
-    decay = _bailey_decay(p ** alpha, alpha, pairs, p ** theta)
-
-    def term(n: np.ndarray) -> np.ndarray:
-        w = np.power(p, alpha * n * (n - 1) + theta * n)
-        return _masked_terms(w, n, lambda m: f1(m) * f2(m))
-
-    return _sum_pairs(term, decay, policy)
-
-
 def _arm_bailey_binomial(params, policy, spec):
-    p, alpha = _unit_real(params, "p"), _unit_real(params, "alpha")
+    qp = _binomial_qparams(params)
+    p = qp.p
     a1, b1, a2, b2 = _required(params, "a1", "b1", "a2", "b2")
     theta = params.get("theta", 0.0)
-    left = _bailey_binomial_sum(p, alpha, a1, b1, a2, b2, theta, policy)
-    shifted = _bailey_binomial_sum(p, alpha, a1, b1 - theta, a2, b2 - theta,
-                                   -theta, policy)
-    return left, shifted.scaled(p ** theta)
+    # sum_n [a1; b1+alpha n]_p [a2; b2+alpha n]_p p^(alpha n(n-1) + theta n)
+    # is the four-product sum at mapped arguments and z = p^theta, over C1 C2.
+    bp = BaileyParams(qp=qp, a1=p ** (a1 - b1 + 1.0), a2=p ** (a2 - b2 + 1.0),
+                      b1=p ** (b1 + 1.0), b2=p ** (b2 + 1.0), z=p ** theta)
+    inv_c = 1.0 / (_binomial_normalizer(a1, p) * _binomial_normalizer(a2, p))
+    return (bilateral.bailey_series(bp, "left", policy).scaled(inv_c),
+            bilateral.bailey_series(bp, "right", policy).scaled(inv_c))
 
 
 def _multibasic_params(params: Mapping[str, Any]) -> MultibasicParams:
-    names = ("p1", "p2", "a1", "b1", "a2", "b2")
-    kwargs = dict(zip(names, _required(params, *names)),
-                  z=params.get("z", 1.0))
+    """Factor groups (p_j, a_j, b_j), j = 1, 2, ..., read for as long as any
+    key of the group is given; a partly given group is InvalidParams."""
+    groups = []
+    for j in itertools.count(1):
+        names = (f"p{j}", f"a{j}", f"b{j}")
+        if not any(name in params for name in names):
+            break
+        groups.append(_required(params, *names))
+    factors, z = tuple(groups), params.get("z", 1.0)
     if "q" in params:
-        return MultibasicParams(q=params["q"], **kwargs)
+        return MultibasicParams(factors=factors, q=params["q"], z=z)
     (alpha_sum,) = _required(params, "alpha_sum")
-    return MultibasicParams.from_alpha_sum(alpha_sum=alpha_sum, **kwargs)
+    return MultibasicParams.from_alpha_sum(factors, alpha_sum, z)
 
 
 def _arm_multibasic(params, policy, spec):

@@ -167,62 +167,59 @@ class BaileyParams:
             raise InvalidParams("z must be nonzero")
 
 
+def _log_bases(factors) -> list[float]:
+    """ln|p_j| of each factor (p_j, a_j, b_j): at least one factor, and
+    0 < |p_j| < 1 for each."""
+    if not factors:
+        raise InvalidParams("need at least one factor (p, a, b)")
+    logs = []
+    for j, (p, _, _) in enumerate(factors, 1):
+        if not 0.0 < abs(p) < 1.0:
+            raise InvalidParams(f"need 0 < |p{j}| < 1, got {abs(p)}")
+        logs.append(math.log(abs(p)))
+    return logs
+
+
 @dataclass(frozen=True)
 class MultibasicParams:
-    """Two bases p1, p2 tied to a common q = p1^alpha1 = p2^alpha2.
+    """q-binomial factors [a_j; b_j + alpha_j x]_{p_j}, j = 1..l, over bases
+    tied to one q.
 
-    The q-binomial in base pj steps by alphaj so that pj^(alphaj n) = q^n;
-    convergence of the paired sum/integral requires alpha1 + alpha2 < 1.
-    A second coefficient with a2 = b2 = 0 denotes the degenerate single-base
-    reduction (constant second factor).
+    factors is ((p_1, a_1, b_1), ...), at least one.  alpha_j =
+    ln|q| / ln|p_j|, so that |p_j|^(alpha_j n) = |q|^n; the paired sum and
+    integral converge when sum_j alpha_j < 1.  A factor with a_j = b_j = 0
+    is the q-sinc factor [0; alpha_j x]_{p_j}, not 1.
     """
 
-    p1: complex
-    p2: complex
+    factors: tuple[tuple[complex, float, float], ...]
     q: complex
-    a1: float
-    b1: float
-    a2: float
-    b2: float
     z: complex
-    alpha1: float = field(init=False)
-    alpha2: float = field(init=False)
+    alphas: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        for name, p in (("p1", self.p1), ("p2", self.p2), ("q", self.q)):
-            if not 0.0 < abs(p) < 1.0:
-                raise InvalidParams(f"need 0 < |{name}| < 1, got {abs(p)}")
+        logs = _log_bases(self.factors)
+        if not 0.0 < abs(self.q) < 1.0:
+            raise InvalidParams(f"need 0 < |q| < 1, got {abs(self.q)}")
         if self.z == 0:
             raise InvalidParams("z must be nonzero")
-        a1 = math.log(abs(self.q)) / math.log(abs(self.p1))
-        a2 = math.log(abs(self.q)) / math.log(abs(self.p2))
-        object.__setattr__(self, "alpha1", a1)
-        object.__setattr__(self, "alpha2", a2)
-        if self.trivial_second:
-            a2 = 0.0
-        if not (a1 > 0.0 and a2 >= 0.0 and a1 + a2 < 1.0):
+        lnq = math.log(abs(self.q))
+        object.__setattr__(self, "alphas", tuple(lnq / lp for lp in logs))
+        if not self.alpha_sum < 1.0:
             raise InvalidParams(
-                f"need alpha1 + alpha2 < 1, got {a1 + a2}"
-            )
-
-    @property
-    def trivial_second(self) -> bool:
-        return self.a2 == 0.0 and self.b2 == 0.0
+                f"need sum of alpha_j < 1, got {self.alpha_sum}")
 
     @property
     def alpha_sum(self) -> float:
-        return self.alpha1 + (0.0 if self.trivial_second else self.alpha2)
+        return sum(self.alphas)
 
     @classmethod
-    def from_alpha_sum(cls, p1: complex, p2: complex, alpha_sum: float,
-                       a1: float, b1: float, a2: float, b2: float,
+    def from_alpha_sum(cls, factors, alpha_sum: float,
                        z: complex) -> "MultibasicParams":
-        """Fix q so that ln q / ln p1 + ln q / ln p2 = alpha_sum."""
+        """Fix q so that sum_j ln q / ln|p_j| = alpha_sum."""
         if not 0.0 < alpha_sum < 1.0:
             raise InvalidParams(f"need 0 < alpha_sum < 1, got {alpha_sum}")
-        lnq = alpha_sum / (1.0 / math.log(abs(p1)) + 1.0 / math.log(abs(p2)))
-        return cls(p1=p1, p2=p2, q=math.exp(lnq),
-                   a1=a1, b1=b1, a2=a2, b2=b2, z=z)
+        lnq = alpha_sum / sum(1.0 / lp for lp in _log_bases(factors))
+        return cls(factors=factors, q=math.exp(lnq), z=z)
 
 
 def qpoch_finite(a: complex, q: complex, n: int) -> complex:

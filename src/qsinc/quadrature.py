@@ -25,13 +25,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, InvalidDecay, InvalidParams, QuadratureFailure
+from .errors import (
+    DenominatorZero,
+    DomainError,
+    InvalidDecay,
+    InvalidParams,
+    QuadratureFailure,
+)
 from .qcore import (
     MultibasicParams,
     SeriesParams,
     Side,
     TruncationPolicy,
     _cpow,
+    _vanishing_factor,
     qpoch_inf,
     qpoch_inf_large,
     qpoch_inf_vec,
@@ -178,10 +185,22 @@ def _qpoch_pair(u: np.ndarray, v: np.ndarray, base: complex) -> np.ndarray:
             * qpoch_inf_vec(v, base, _POLICY.eps))
 
 
-def _require_off_negative_axis(z: complex) -> None:
+def _check_denominator(z: complex, q: complex) -> None:
+    """Reject z on the negative real axis (InvalidParams), and z at which
+    (-z q^x, -q^(1-x)/z; q)_inf vanishes on the integers (DenominatorZero).
+
+    A vanishing factor 1 + z q^m (m in Z) makes the denominator vanish at
+    every integer x, on the series' lattice and on the integral's line.  The
+    factors 1 + q^m / z are covered too: one vanishes exactly when
+    1 + z q^-m does.
+    """
     z = complex(z)
     if z.imag == 0.0 and z.real < 0.0:
         raise InvalidParams(f"z={z} lies on the negative real axis")
+    m = _vanishing_factor(-z, q)
+    if m is not None:
+        raise DenominatorZero(
+            f"denominator factor 1 + z q^{m} vanishes (z={z})")
 
 
 def _theta_denominator(z: complex, q: complex):
@@ -253,18 +272,16 @@ def _binomial_factor(a: float, b_off: float, alpha: float, p: complex):
 
 
 def _multibasic_integrand(params: MultibasicParams):
-    """x -> [a1; b1 + alpha1 x]_p1 [a2; b2 + alpha2 x]_p2
-    / (-z q^x, -q^(1-x)/z; q)_inf, the second factor dropped when trivial."""
-    f1 = _binomial_factor(params.a1, params.b1, params.alpha1, params.p1)
-    f2 = None
-    if not params.trivial_second:
-        f2 = _binomial_factor(params.a2, params.b2, params.alpha2, params.p2)
+    """x -> prod_j [a_j; b_j + alpha_j x]_{p_j}
+    / (-z q^x, -q^(1-x)/z; q)_inf."""
+    factors = [_binomial_factor(a, b, alpha, p)
+               for (p, a, b), alpha in zip(params.factors, params.alphas)]
     den = _theta_denominator(complex(params.z), complex(params.q))
 
     def f(x: np.ndarray) -> np.ndarray:
-        v = f1(x)
-        if f2 is not None:
-            v = v * f2(x)
+        v = factors[0](x)
+        for factor in factors[1:]:
+            v = v * factor(x)
         return v / den(x)
 
     return f
@@ -317,7 +334,7 @@ def main_integral(params: SeriesParams, spec: QuadratureSpec,
 def symmetric_integral(params: SeriesParams,
                        spec: QuadratureSpec) -> Side:
     """Integral side of the symmetric sum-equals-integral identity."""
-    _require_off_negative_axis(params.z)
+    _check_denominator(params.z, params.qp.q)
     return integrate_gaussian_decay(_symmetric_integrand(params),
                                     _symmetric_decay(params), spec)
 
@@ -345,7 +362,7 @@ def weighted_integral(params: SeriesParams, m: int,
 
 def multibasic_integral(params: MultibasicParams,
                         spec: QuadratureSpec) -> Side:
-    """Integral side of the two-base q-binomial identity."""
-    _require_off_negative_axis(params.z)
+    """Integral side of the multibasic q-binomial identity."""
+    _check_denominator(params.z, params.q)
     return integrate_gaussian_decay(_multibasic_integrand(params),
                                     _multibasic_decay(params), spec)

@@ -56,6 +56,14 @@ APPELL_LERCH = {
 MULTIBASIC_Q = 0.5763759604342781545511
 MULTIBASIC_VALUE = 0.2727225519678610283435
 
+# factors ((p_j, a_j, b_j), ...) -> multibasic sum at alpha_sum = 0.8, z = 1:
+# three factors, and the q-sinc factor [0; alpha_2 x]_{p_2}
+MULTIBASIC_SERIES = {
+    ((0.2, 2.0, 1.0), (0.3, 3.0, 1.0), (0.25, 1.5, 0.5)):
+        0.0867954606980261145478,
+    ((0.36, 2.0, 1.0), (0.3, 0.0, 0.0)): 0.08257071020899552350666,
+}
+
 
 def regenerate(dps: int = 50):
     """Recompute every frozen constant with mpmath; returns a dict."""
@@ -97,11 +105,15 @@ def regenerate(dps: int = 50):
                 * mp.qp(p ** (a - b + 1) * p ** (-alpha * x), p)
                 / (mp.qp(p, p) * mp.qp(p ** (a + 1), p)))
 
-    def mb_series(p1, p2, q, a1, b1, a2, b2, z, n_max=60):
-        al1 = mp.log(q) / mp.log(p1)
-        al2 = mp.log(q) / mp.log(p2)
+    def mb_q(factors, alpha_sum):
+        return mp.e ** (alpha_sum / mp.fsum(1 / mp.log(p)
+                                            for p, _, _ in factors))
+
+    def mb_series(factors, q, z, n_max=60):
+        alphas = [mp.log(q) / mp.log(p) for p, _, _ in factors]
         return mp.fsum(
-            mb_binom(a1, b1, al1, p1, n) * mb_binom(a2, b2, al2, p2, n)
+            mp.fprod(mb_binom(a, b, alpha, p, n)
+                     for (p, a, b), alpha in zip(factors, alphas))
             / (mp.qp(-z * q ** n, q) * mp.qp(-q ** (1 - n) / z, q))
             for n in range(-n_max, n_max + 1)
         )
@@ -125,10 +137,12 @@ def regenerate(dps: int = 50):
         aa, qq = mp.mpmathify(a), mp.mpmathify(q)
         pp = qq * qq
         out[("al", a, q)] = main_series(pp / aa, aa * pp, mp.mpf(1), qq, pp)
-    lnq = mp.mpf("0.8") / (1 / mp.log(mp.mpf("0.2"))
-                           + 1 / mp.log(mp.mpf("0.3")))
-    q_mb = mp.e ** lnq
+    two = ((mp.mpf("0.2"), 2, 1), (mp.mpf("0.3"), 3, 1))
+    q_mb = mb_q(two, mp.mpf("0.8"))
     out[("mb_q",)] = q_mb
-    out[("mb_value",)] = mb_series(mp.mpf("0.2"), mp.mpf("0.3"), q_mb,
-                                   2, 1, 3, 1, mp.mpf(1))
+    out[("mb_value",)] = mb_series(two, q_mb, mp.mpf(1))
+    for key in MULTIBASIC_SERIES:
+        factors = [tuple(map(mp.mpmathify, f)) for f in key]
+        out[("mb",) + key] = mb_series(
+            factors, mb_q(factors, mp.mpf("0.8")), mp.mpf(1))
     return out

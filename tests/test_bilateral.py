@@ -22,8 +22,9 @@ from qsinc import (
     symmetric_series,
     weighted_series,
 )
-from qsinc.bilateral import _check_denominator_factors, _sum_pairs
+from qsinc.bilateral import _sum_pairs
 from qsinc.errors import DenominatorZero
+from qsinc.quadrature import _check_denominator
 
 from conftest import rel_err
 from oracles import (
@@ -31,6 +32,7 @@ from oracles import (
     BAILEY_LEFT,
     MAIN_SERIES,
     MULTIBASIC_Q,
+    MULTIBASIC_SERIES,
     MULTIBASIC_VALUE,
     SYMMETRIC_SERIES,
     WEIGHTED_SERIES,
@@ -132,7 +134,10 @@ class TestSymmetricSeries:
 
     def test_denominator_zero_detected(self, policy):
         with pytest.raises(DenominatorZero):
-            _check_denominator_factors(-0.25, 0.5)  # 1 + z q^-2 = 0
+            _check_denominator(0.25, 0.5j)  # 1 + z q^-2 = 0
+        with pytest.raises(InvalidParams):
+            # 1 + z q^-2 = 0 too, but z is on the negative axis, checked first
+            _check_denominator(-0.25, 0.5)
         with pytest.raises(DenominatorZero):
             # 1 + z q^2 = 0 at q = 0.5i, z = 4
             symmetric_series(_sp(0.1, 0.2, 4.0, 0.5j, 0.2j), policy)
@@ -216,29 +221,32 @@ class TestAppellLerch:
             appell_lerch_rhs(0.0, 0.5, policy)
 
 
+def _factors(p1, a1, b1, p2, a2, b2):
+    return ((p1, a1, b1), (p2, a2, b2))
+
+
 class TestMultibasic:
     def test_against_oracle(self, policy):
-        params = MultibasicParams(p1=0.2, p2=0.3, q=MULTIBASIC_Q,
-                                  a1=2, b1=1, a2=3, b2=1, z=1.0)
+        params = MultibasicParams(factors=_factors(0.2, 2, 1, 0.3, 3, 1),
+                                  q=MULTIBASIC_Q, z=1.0)
         ev = multibasic_series(params, policy)
         assert rel_err(ev.value, MULTIBASIC_VALUE) < 1e-11
 
     def test_from_alpha_sum(self):
         params = MultibasicParams.from_alpha_sum(
-            p1=0.2, p2=0.3, alpha_sum=0.8, a1=2, b1=1, a2=3, b2=1, z=1.0)
+            _factors(0.2, 2, 1, 0.3, 3, 1), alpha_sum=0.8, z=1.0)
         assert params.q == pytest.approx(MULTIBASIC_Q, rel=1e-14)
-        assert params.alpha1 + params.alpha2 == pytest.approx(0.8)
+        assert sum(params.alphas) == pytest.approx(0.8)
 
     def test_constraint_enforced(self):
         with pytest.raises(InvalidParams):
-            MultibasicParams(p1=0.5, p2=0.5, q=0.45, a1=2, b1=1, a2=3, b2=1,
+            MultibasicParams(factors=_factors(0.5, 2, 1, 0.5, 3, 1), q=0.45,
                              z=1.0)
 
     def test_trivial_second_reduces_to_single_base(self, policy):
-        # a2 = b2 = 0 drops the second factor entirely
+        # one factor: the sum of [2; 1 + alpha n]_p1 over the denominator
         p1, q = 0.36, 0.6
-        params = MultibasicParams(p1=p1, p2=0.1, q=q, a1=2, b1=1,
-                                  a2=0, b2=0, z=1.0)
+        params = MultibasicParams(factors=((p1, 2, 1),), q=q, z=1.0)
         ev = multibasic_series(params, policy)
         # same sum through the symmetric series at mapped arguments
         from qsinc import qpoch_inf
@@ -248,3 +256,24 @@ class TestMultibasic:
         c = qpoch_inf(p1, p1, policy) * qpoch_inf(p1 ** 3.0, p1, policy)
         ref = symmetric_series(sp, policy).value / c
         assert rel_err(ev.value, ref) < 1e-11
+
+    @pytest.mark.parametrize("factors", sorted(MULTIBASIC_SERIES))
+    def test_factor_list_against_oracle(self, factors, policy):
+        # three factors, and a q-sinc factor (a2 = b2 = 0) that is not 1
+        params = MultibasicParams.from_alpha_sum(factors, 0.8, z=1.0)
+        ev = multibasic_series(params, TruncationPolicy(eps=1e-15))
+        assert rel_err(ev.value, MULTIBASIC_SERIES[factors]) < 1e-13
+
+    def test_factor_list_validated(self):
+        with pytest.raises(InvalidParams):
+            MultibasicParams(factors=(), q=0.5, z=1.0)
+        with pytest.raises(InvalidParams):
+            MultibasicParams.from_alpha_sum(((1.0, 2, 1),), 0.5, z=1.0)
+        with pytest.raises(InvalidParams):
+            MultibasicParams(factors=((0.2, 2, 1),), q=0.5, z=0.0)
+
+    def test_denominator_zero_rejected(self, policy):
+        params = MultibasicParams(factors=_factors(0.1, 2, 1, 0.2, 3, 1),
+                                  q=0.5j, z=4.0)
+        with pytest.raises(DenominatorZero):
+            multibasic_series(params, policy)

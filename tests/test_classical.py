@@ -16,7 +16,6 @@ from qsinc import (
     OslerParams,
     PoleAtNonpositiveInteger,
     TruncationPolicy,
-    binomial_bandlimit_integral,
     binomial_profile,
     binomial_real,
     classical_integral,
@@ -79,17 +78,6 @@ class TestBinomialReal:
         with pytest.raises(PoleAtNonpositiveInteger):
             gamma_classical(-1.0)
         assert gamma_classical(0.5) == pytest.approx(math.sqrt(math.pi))
-
-
-class TestBandlimitIntegral:
-    def test_matches_binomial(self):
-        for a, u in [(2.0, 0.7), (1.5, -0.4), (3.2, 1.1)]:
-            value = binomial_bandlimit_integral(a, u)
-            assert abs(value - binomial_real(a, u)) < 1e-9
-
-    def test_requires_integrable_endpoint(self):
-        with pytest.raises(InvalidParams):
-            binomial_bandlimit_integral(-1.5, 0.0)
 
 
 class TestOsler:

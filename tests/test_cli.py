@@ -47,6 +47,14 @@ class TestVerifyCommand:
         assert out == ""
         assert "invalid parameters" in err
 
+    def test_one_factor_multibasic(self, capsys):
+        # omitting p2/a2/b2 gives one factor
+        code, out, _ = run(capsys, "verify", "--identity", "multibasic",
+                           "--p1", ".36", "--a1", "2", "--b1", "1",
+                           "--q", ".6")
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
     def test_base_integral_closed_form(self, capsys):
         code, out, _ = run(capsys, "verify", "--identity", "base-integral",
                            "--q", "0.5")

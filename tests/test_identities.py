@@ -12,12 +12,16 @@ from qsinc import (
     IdentityId,
     InvalidGrid,
     InvalidParams,
+    QuadratureSpec,
+    TruncationPolicy,
     make_report,
     sweep_points,
     verify,
 )
 from qsinc.identities import DEFAULT_TOL, expand_grid
 from qsinc.qcore import SIDE_METHODS, Side
+
+from oracles import MULTIBASIC_SERIES
 
 _POINTS = {
     IdentityId.Main: {"a": 0.2, "b": 0.3, "z": 1.0, "q": 0.6, "p": 0.3},
@@ -101,6 +105,39 @@ class TestVerify:
             verify(IdentityId.Multibasic,
                    {"p1": 0.5, "p2": 0.5, "q": 0.45, "a1": 2, "b1": 1,
                     "a2": 3, "b2": 1, "z": 1.0})
+
+    @pytest.mark.parametrize("factors", sorted(MULTIBASIC_SERIES))
+    def test_multibasic_factor_groups(self, factors):
+        # the groups p1/a1/b1, p2/a2/b2, p3/a3/b3 are the factors; both
+        # sides match the mpmath oracle
+        point = {"alpha_sum": 0.8, "z": 1.0}
+        for j, (p, a, b) in enumerate(factors, 1):
+            point.update({f"p{j}": p, f"a{j}": a, f"b{j}": b})
+        report = verify(IdentityId.Multibasic, point,
+                        policy=TruncationPolicy(eps=1e-15),
+                        spec=QuadratureSpec(eps=1e-13))
+        expected = MULTIBASIC_SERIES[factors]
+        assert report.passed
+        assert abs(report.lhs - expected) < 1e-13 * abs(expected)
+        assert abs(report.rhs - expected) < 1e-13 * abs(expected)
+
+    def test_multibasic_partial_group_invalid(self):
+        point = dict(_POINTS[IdentityId.Multibasic], p3=0.25, b3=0.5)
+        with pytest.raises(InvalidParams, match="missing .*a3"):
+            verify(IdentityId.Multibasic, point)
+
+    @pytest.mark.parametrize("ident, point", [
+        (IdentityId.QBinomialForm,
+         {"a": 2.0, "b": 1.0, "alpha": 0.05, "p": 0.5, "z": 1.0}),
+        (IdentityId.BaileyBinomial,
+         dict(_POINTS[IdentityId.BaileyBinomial], p=0.9)),
+    ], ids=["qbinomial", "bailey-binomial"])
+    def test_binomial_arms_honour_allow_extreme(self, ident, point):
+        # |q| = p^alpha > 0.95: outside the default domain, fine with the flag
+        with pytest.raises(InvalidParams, match="allow_extreme"):
+            verify(ident, point)
+        report = verify(ident, dict(point, allow_extreme=True))
+        assert report.passed, report.rel_err
 
     def test_bailey_binomial_theta_zero_trivial(self):
         params = dict(_POINTS[IdentityId.BaileyBinomial], theta=0.0)

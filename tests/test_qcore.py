@@ -217,14 +217,17 @@ class TestThetaProduct:
 
 
 def test_oracles_regen_spot_check():
-    # recompute two frozen constants to confirm they have not drifted
+    # recompute three frozen constants to confirm they have not drifted
     import mpmath as mp
 
-    from oracles import regenerate
+    from oracles import MULTIBASIC_SERIES, regenerate
 
     out = regenerate(dps=30)
     assert abs(complex(out[("qpoch", 0.3, 0.5)])
                - QPOCH_INF[(0.3, 0.5)]) < 1e-15
     assert abs(complex(out[("main", 0.2, 0.3, 1.0, 0.6, 0.3)])
                - 1.269362576916128687573) < 1e-14
+    qsinc_key = ((0.36, 2.0, 1.0), (0.3, 0.0, 0.0))
+    assert abs(complex(out[("mb",) + qsinc_key])
+               - MULTIBASIC_SERIES[qsinc_key]) < 1e-15
     assert mp.mp.dps >= 15

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qsinc import (
+    DenominatorZero,
     DomainError,
     InvalidParams,
     QParams,
@@ -34,6 +35,7 @@ from qsinc.errors import InvalidDecay
 from qsinc.quadrature import _CHUNK
 
 from conftest import rel_err
+from oracles import MULTIBASIC_SERIES
 
 
 def _sp(a, b, z, q, p):
@@ -229,17 +231,39 @@ class TestWeightedIntegral:
 
 
 class TestMultibasicIntegral:
+    _TWO = ((0.2, 2, 1), (0.3, 3, 1))
+
     def test_matches_series(self, spec, policy):
-        params = MultibasicParams.from_alpha_sum(
-            p1=0.2, p2=0.3, alpha_sum=0.8, a1=2, b1=1, a2=3, b2=1, z=1.0)
+        params = MultibasicParams.from_alpha_sum(self._TWO, alpha_sum=0.8,
+                                                 z=1.0)
         res = multibasic_integral(params, spec)
         ev = multibasic_series(params, policy)
         assert rel_err(res.value, ev.value) < 1e-8
 
     def test_complex_z(self, spec, policy):
-        params = MultibasicParams.from_alpha_sum(
-            p1=0.2, p2=0.3, alpha_sum=0.5, a1=2, b1=1, a2=3, b2=1,
-            z=0.6 + 0.2j)
+        params = MultibasicParams.from_alpha_sum(self._TWO, alpha_sum=0.5,
+                                                 z=0.6 + 0.2j)
         res = multibasic_integral(params, spec)
         ev = multibasic_series(params, policy)
         assert rel_err(res.value, ev.value) < 1e-8
+
+    @pytest.mark.parametrize("factors", sorted(MULTIBASIC_SERIES))
+    def test_factor_list_against_oracle(self, factors):
+        # three factors, and a q-sinc factor (a2 = b2 = 0) that is not 1
+        params = MultibasicParams.from_alpha_sum(factors, 0.8, z=1.0)
+        res = multibasic_integral(params, QuadratureSpec(eps=1e-13))
+        assert rel_err(res.value, MULTIBASIC_SERIES[factors]) < 1e-13
+
+
+class TestDenominatorZero:
+    # 1 + z q^2 = 0: the denominator vanishes at every integer x, so both
+    # integrands have poles on the real line.
+    def test_symmetric_integral(self, spec):
+        with pytest.raises(DenominatorZero):
+            symmetric_integral(_sp(0.1, 0.2, 4.0, 0.5j, 0.2j), spec)
+
+    def test_multibasic_integral(self, spec):
+        params = MultibasicParams(factors=((0.1, 2, 1), (0.2, 3, 1)),
+                                  q=0.5j, z=4.0)
+        with pytest.raises(DenominatorZero):
+            multibasic_integral(params, spec)
