@@ -52,14 +52,12 @@ def _sum_pairs(term: Callable[[np.ndarray], np.ndarray],
     """Sum term(n) over n in Z as a window [-N, N] of the integer lattice.
 
     term maps an integer array to its terms.  The sum stops at the first
-    n >= n_min (raised to the decay radius for policy.eps and to
-    policy.min_terms // 2) where three consecutive pairs (n, -n) each have
-    |t(n)| + |t(-n)| <= eps max(1, |partial sum through n|).  The window
-    doubles until it holds that stop; a non-finite term before it, or a stop
+    n >= max(n_min, 4, decay radius for policy.eps) where three consecutive
+    pairs (n, -n) each have |t(n)| + |t(-n)| <= eps max(1, |partial sum
+    through n|).  The window doubles until it holds that stop; a non-finite term before it, or a stop
     beyond policy.max_terms terms, raises NoConvergence.
     """
-    n_min = max(n_min, math.ceil(_decay_radius(decay, policy.eps)),
-                policy.min_terms // 2, 1)
+    n_min = max(n_min, math.ceil(_decay_radius(decay, policy.eps)), 4)
     n_max = (policy.max_terms - 1) // 2
     half = n_min + 4
     while True:
@@ -164,12 +162,10 @@ def fourier_series_side(params: SeriesParams, y: float,
         raise KernelPole("sinh kernel pole at y = 0")
     eiy = cmath.exp(1j * y)
     pref = (2.0 * cmath.pi * 1j / lq) / kernel
-    pref *= (qpoch_inf(-q, q, policy) ** 2
-             * qpoch_inf_large(eiy, q, policy)
-             * qpoch_inf_large(complex(q) / eiy, q, policy))
-    pref /= (qpoch_inf(q, q, policy) ** 2
-             * qpoch_inf_large(-eiy, q, policy)
-             * qpoch_inf_large(-complex(q) / eiy, q, policy))
+    pref *= (qpoch_inf(-q, q) ** 2 * qpoch_inf_large(eiy, q)
+             * qpoch_inf_large(complex(q) / eiy, q))
+    pref /= (qpoch_inf(q, q) ** 2 * qpoch_inf_large(-eiy, q)
+             * qpoch_inf_large(-complex(q) / eiy, q))
     return _sum_pairs(_fourier_integrand(params, y), _symmetric_decay(params),
                       policy).scaled(pref)
 
@@ -222,8 +218,7 @@ def appell_lerch_rhs(a: complex, q: complex,
         return t if n_star is None else np.where(n == n_star, 0.0, t)
 
     if n_star is None:
-        pref = 2.0 * qpoch_inf_large(q * a, q2, policy) \
-            * qpoch_inf_large(q / a, q2, policy)
+        pref = 2.0 * qpoch_inf_large(q * a, q2) * qpoch_inf_large(q / a, q2)
         return _sum_pairs(term, decay, policy).scaled(pref)
 
     # Pair the vanishing prefactor-factor with pole term c: pref (w S + d c).
@@ -232,16 +227,16 @@ def appell_lerch_rhs(a: complex, q: complex,
     ev = _sum_pairs(term, decay, policy, abs(n_star) + 2)
     if n_star >= 0:
         # u is literally factor n_star of (qa; q^2)_inf; leave it out.
-        pref = 2.0 * qpoch_inf_large(q / a, q2, policy) \
+        pref = 2.0 * qpoch_inf_large(q / a, q2) \
             * qpoch_finite(q * a, q2, n_star) \
-            * qpoch_inf_large(q * a * q2 ** (n_star + 1), q2, policy)
+            * qpoch_inf_large(q * a * q2 ** (n_star + 1), q2)
         w, d = u, 1.0
     else:
         # Factor -(n_star+1) of (q/a; q^2)_inf equals -u/(1-u); leave it out.
         k_star = -(n_star + 1)
-        pref = 2.0 * qpoch_inf_large(q * a, q2, policy) \
+        pref = 2.0 * qpoch_inf_large(q * a, q2) \
             * qpoch_finite(q / a, q2, k_star) \
-            * qpoch_inf_large(q / a * q2 ** (k_star + 1), q2, policy)
+            * qpoch_inf_large(q / a * q2 ** (k_star + 1), q2)
         w, d = -u / (1.0 - u), -1.0 / (1.0 - u)
     return ev.scaled(pref * w) + Side(pref * d * c, "product")
 

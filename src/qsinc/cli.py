@@ -322,7 +322,7 @@ def _limit_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
         rhs = gamma_classical(float(x))
         for k in (2, 3, 4):
             q = 1.0 - 10.0 ** (-k)
-            lhs = qgamma(x, q, default_policy(eps=1e-13))
+            lhs = qgamma(x, q)
             rows.append({"parameter": q, "lhs": lhs, "rhs": rhs,
                          "error": abs(lhs - rhs)})
     else:

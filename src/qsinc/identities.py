@@ -383,14 +383,14 @@ def _arm_functional_eq2(params, policy, spec):
 
 def _arm_base_integral(params, policy, spec):
     (q,) = _required(params, "q")
-    rhs = qpoch_inf(q, q, policy) * math.log(1.0 / float(abs(q)))
+    rhs = qpoch_inf(q, q) * math.log(1.0 / float(abs(q)))
     return quadrature.base_integral(q, spec), Side(rhs, "product")
 
 
 def _arm_triple_product(params, policy, spec):
     z, q = map(complex, _required(params, "z", "q"))
     term = lambda n: np.power(z, n) * np.power(q, n * (n - 1) // 2)
-    return (Side(theta_product(z, q, policy), "product"),
+    return (Side(theta_product(z, q), "product"),
             _sum_pairs(term, _gaussian_decay(q, 0.0, z=z), policy))
 
 

@@ -1,9 +1,11 @@
 """Foundational q-special functions with certified product truncation.
 
-Every product (a;q)_infty, for a of any size, keeps the first N factors,
-where the log-tail bound 2 |a| |q|^N / (1 - |q|) falls below eps < 1; that
-already gives |a q^N| < 1/2, which the bound needs.  _vanishing_factor alone
-decides whether a factor 1 - a q^m is zero.
+Every product (a;q)_infty, for a of any size, is certified to double
+precision: it keeps the first N factors, where the log-tail bound
+2 |a| |q|^N / (1 - |q|) falls below PRODUCT_EPS; that already gives
+|a q^N| < 1/2, which the bound needs.  A product that would need more than
+PRODUCT_MAX_FACTORS factors raises NoConvergence.  No caller chooses either
+value.  _vanishing_factor alone decides whether a factor 1 - a q^m is zero.
 """
 
 from __future__ import annotations
@@ -29,28 +31,30 @@ from .errors import (
 # distinguishes exact poles from computable near-poles.
 POLE_TOL = 1e-13
 
+# Log-tail bound and factor budget of every infinite product.
+PRODUCT_EPS = 1e-16
+PRODUCT_MAX_FACTORS = 2_000_000
+
 MAX_TERMS_ENV = "QSINC_MAX_TERMS"
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Target tail bound and term budget for series/product truncation."""
+    """Target tail bound and term budget for series truncation; products
+    have their own fixed precision (PRODUCT_EPS)."""
 
     eps: float = 1e-12
     max_terms: int = 1_000_000
-    min_terms: int = 8
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < 1.0:
             raise InvalidParams(f"eps must be in (0, 1), got {self.eps}")
-        if self.min_terms < 4:
-            raise InvalidParams(f"min_terms must be >= 4, got {self.min_terms}")
-        if self.max_terms < self.min_terms:
-            raise InvalidParams("max_terms must be >= min_terms")
+        if self.max_terms < 8:
+            raise InvalidParams(f"max_terms must be >= 8, got {self.max_terms}")
 
 
 def default_policy(eps: float = 1e-12) -> TruncationPolicy:
-    """Default policy; QSINC_MAX_TERMS overrides the term budget."""
+    """Default policy; QSINC_MAX_TERMS overrides the series term budget."""
     max_terms = 1_000_000
     env = os.environ.get(MAX_TERMS_ENV)
     if env is not None:
@@ -242,34 +246,33 @@ def _tail_index(a_abs: float, q_abs: float, eps: float) -> int:
     return int(math.ceil(max(n, 0.0))) + 1
 
 
-def qpoch_inf_vec(a: np.ndarray, q: complex, eps: float = 1e-16,
-                  max_terms: int = 2_000_000) -> np.ndarray:
+def qpoch_inf_vec(a: np.ndarray, q: complex) -> np.ndarray:
     """(a_i;q)_infty over an array of arguments of any size, shared base q.
 
-    All elements share the factor count _tail_index(max |a_i|): the tail
-    bound grows with |a|, so that count certifies every element.  Non-finite
-    arguments do not enter the count; at least one factor is taken, so their
-    products are non-finite.
+    All elements share the factor count _tail_index(max |a_i|, PRODUCT_EPS):
+    the tail bound grows with |a|, so that count certifies every element.
+    Non-finite arguments do not enter the count; at least one factor is
+    taken, so their products are non-finite.
     """
     aq = abs(q)
     if aq >= 1.0:
         raise InvalidBase(f"|q| must be < 1, got {aq}")
     a = np.asarray(a, dtype=complex)
     amax = float(np.max(np.abs(a), initial=0.0, where=np.isfinite(a)))
-    k = max(1, _tail_index(amax, aq, eps))
-    if k > max_terms:
+    k = max(1, _tail_index(amax, aq, PRODUCT_EPS))
+    if k > PRODUCT_MAX_FACTORS:
         raise NoConvergence(
-            f"(a;q)_inf needs {k} factors, budget is {max_terms}")
+            f"(a;q)_inf needs {k} factors, budget is {PRODUCT_MAX_FACTORS}")
     powers = np.power(complex(q), np.arange(k))
     return np.prod(1.0 - a[..., None] * powers, axis=-1)
 
 
-def qpoch_inf(a: complex, q: complex, policy: TruncationPolicy) -> complex:
-    """Infinite q-shifted factorial (a;q)_infty for any a, tail below eps.
+def qpoch_inf(a: complex, q: complex) -> complex:
+    """Infinite q-shifted factorial (a;q)_infty for any a, to double precision.
 
     A scalar view of qpoch_inf_vec; qpoch_inf_large is another name for it.
     """
-    return complex(qpoch_inf_vec(a, q, policy.eps, policy.max_terms))
+    return complex(qpoch_inf_vec(a, q))
 
 
 qpoch_inf_large = qpoch_inf
@@ -309,12 +312,13 @@ def _cpow(base: complex, expo: complex) -> complex:
     return _principal_power(base, expo)
 
 
-def qgamma(x: complex, q: complex, policy: TruncationPolicy) -> complex:
-    """q-analog of the Gamma function.
+def qgamma(x: complex, q: complex) -> complex:
+    """q-analog of the Gamma function, to double precision.
 
     Gamma_q(x) = (q;q)_inf / (q^x;q)_inf * (1-q)^(1-x), principal branch.
     The product ratio is accumulated factor by factor: both products underflow
-    to zero for q near 1, but their factor ratios stay of order one.
+    to zero for q near 1, but their factor ratios stay of order one.  The
+    factor count is the tail bound's alone.
     """
     aq = abs(q)
     if not 0.0 < aq < 1.0:
@@ -322,10 +326,10 @@ def qgamma(x: complex, q: complex, policy: TruncationPolicy) -> complex:
     qx = _principal_power(q, x)
     # log of factor k of the ratio is ~ (q^x - q) q^k / (1 - q) for large k
     a_eff = (abs(qx) + aq) / (1.0 - aq)
-    n = max(policy.min_terms, _tail_index(a_eff, aq, policy.eps))
-    if n > policy.max_terms:
+    n = _tail_index(a_eff, aq, PRODUCT_EPS)
+    if n > PRODUCT_MAX_FACTORS:
         raise NoConvergence(
-            f"Gamma_q ratio needs {n} factors, budget is {policy.max_terms}"
+            f"Gamma_q ratio needs {n} factors, budget is {PRODUCT_MAX_FACTORS}"
         )
     if _has_zero_factor(qx, q):
         raise PoleAtNonpositiveInteger(f"Gamma_q pole at x={x}")
@@ -335,8 +339,7 @@ def qgamma(x: complex, q: complex, policy: TruncationPolicy) -> complex:
     return ratio * _principal_power(1.0 - q, 1.0 - complex(x))
 
 
-def qbinomial(a: complex, b: complex, q: complex,
-              policy: TruncationPolicy) -> complex:
+def qbinomial(a: complex, b: complex, q: complex) -> complex:
     """q-binomial coefficient Gamma_q(a+1)/(Gamma_q(b+1) Gamma_q(a-b+1)).
 
     The (1-q) power prefactors cancel exactly, so the coefficient reduces to
@@ -357,17 +360,16 @@ def qbinomial(a: complex, b: complex, q: complex,
         raise PoleAtNonpositiveInteger(f"Gamma_q(a+1) pole at a={a}")
     if num_vanishes:
         return 0.0 + 0.0j
-    return (qpoch_inf(qb1, q, policy) * qpoch_inf(qab1, q, policy)
-            / (qpoch_inf(q, q, policy) * qpoch_inf(qa1, q, policy)))
+    return (qpoch_inf(qb1, q) * qpoch_inf(qab1, q)
+            / (qpoch_inf(q, q) * qpoch_inf(qa1, q)))
 
 
-def theta_product(z: complex, q: complex, policy: TruncationPolicy) -> complex:
+def theta_product(z: complex, q: complex) -> complex:
     """Jacobi triple product (q, -z, -q/z; q)_infty."""
     if z == 0:
         raise ZeroArgument("theta_product requires z != 0")
     aq = abs(q)
     if not 0.0 < aq < 1.0:
         raise InvalidBase(f"need 0 < |q| < 1, got {aq}")
-    return (qpoch_inf(q, q, policy)
-            * qpoch_inf_large(-z, q, policy)
-            * qpoch_inf_large(-complex(q) / complex(z), q, policy))
+    return (qpoch_inf(q, q) * qpoch_inf_large(-z, q)
+            * qpoch_inf_large(-complex(q) / complex(z), q))

@@ -36,7 +36,6 @@ from .qcore import (
     MultibasicParams,
     SeriesParams,
     Side,
-    TruncationPolicy,
     _cpow,
     _vanishing_factor,
     qpoch_inf,
@@ -48,10 +47,6 @@ from .util import fsum_complex
 # Safety factor on the computed truncation radius; absorbs the O(1)
 # constants the asymptotic decay estimates leave implicit.
 _RADIUS_SAFETY = 1.25
-
-# Products inside the integrands, vectorized and scalar, are certified to
-# double precision.
-_POLICY = TruncationPolicy(eps=1e-16)
 
 # Nodes per integrand call: bounds the node-by-factor matrix of each
 # vectorized product, however large the level.
@@ -181,8 +176,7 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
 
 def _qpoch_pair(u: np.ndarray, v: np.ndarray, base: complex) -> np.ndarray:
     """(u, v; base)_inf elementwise."""
-    return (qpoch_inf_vec(u, base, _POLICY.eps)
-            * qpoch_inf_vec(v, base, _POLICY.eps))
+    return qpoch_inf_vec(u, base) * qpoch_inf_vec(v, base)
 
 
 def _check_denominator(z: complex, q: complex) -> None:
@@ -254,7 +248,7 @@ def _fourier_integrand(params: SeriesParams, y: float):
 
 def _binomial_normalizer(a: float, p: complex) -> complex:
     """(p, p^(a+1); p)_inf, the denominator of [a; u]_p as a product ratio."""
-    return qpoch_inf(p, p, _POLICY) * qpoch_inf(_cpow(p, a + 1.0), p, _POLICY)
+    return qpoch_inf(p, p) * qpoch_inf(_cpow(p, a + 1.0), p)
 
 
 def _binomial_factor(a: float, b_off: float, alpha: float, p: complex):
@@ -323,8 +317,7 @@ def main_integral(params: SeriesParams, spec: QuadratureSpec,
         )
     qp = params.qp
     qc = complex(qp.q)
-    pref = (qpoch_inf_large(-z, qc, _POLICY)
-            * qpoch_inf_large(-qc / z, qc, _POLICY))
+    pref = qpoch_inf_large(-z, qc) * qpoch_inf_large(-qc / z, qc)
     f = _symmetric_integrand(replace(params, a=params.a * z,
                                      b=params.b / z, z=1.0))
     return integrate_gaussian_decay(f, _symmetric_decay(params),

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from qsinc import cli, qpoch_inf, default_policy
+from qsinc import cli, qpoch_inf
 
 
 def run(capsys, *argv):
@@ -60,7 +60,7 @@ class TestVerifyCommand:
                            "--q", "0.5")
         assert code == 0
         doc = json.loads(out)
-        expected = qpoch_inf(0.5, 0.5, default_policy()) * math.log(2.0)
+        expected = qpoch_inf(0.5, 0.5) * math.log(2.0)
         assert abs(doc["rhs"]["re"] - expected) < 1e-12
 
     def test_unknown_identity_usage_error(self, capsys):

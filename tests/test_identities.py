@@ -156,8 +156,7 @@ class TestVerify:
         from qsinc.qcore import TruncationPolicy
 
         report = verify(IdentityId.Main, _POINTS[IdentityId.Main],
-                        policy=TruncationPolicy(eps=1e-12, max_terms=10,
-                                                min_terms=4))
+                        policy=TruncationPolicy(eps=1e-12, max_terms=10))
         assert not report.passed
         assert report.lhs_diag["status"] == "inconclusive"
         assert report.lhs_diag["reason"].startswith("NoConvergence")

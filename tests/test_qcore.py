@@ -43,32 +43,31 @@ class TestQpoch:
             qpoch_finite(0.3, 0.5, -1)
 
     @pytest.mark.parametrize("key", sorted(QPOCH_INF, key=str))
-    def test_inf_against_oracle(self, key, policy):
+    def test_inf_against_oracle(self, key):
         a, q = key
-        value = qpoch_inf_large(a, q, policy)
+        value = qpoch_inf_large(a, q)
         assert rel_err(value, QPOCH_INF[key]) < 1e-12
 
-    def test_zero_argument(self, policy):
-        assert qpoch_inf(0.0, 0.5, policy) == 1.0
+    def test_zero_argument(self):
+        assert qpoch_inf(0.0, 0.5) == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.0, 50.0), st.floats(-math.pi, math.pi),
            st.floats(0.05, 0.95), st.floats(-math.pi, math.pi))
     def test_shift_recurrence(self, a_abs, a_arg, q_abs, q_arg):
         # (a; q)_inf = (1 - a)(aq; q)_inf over |a| <= 50, |q| <= 0.95
-        policy = TruncationPolicy(eps=1e-13)
         a = cmath.rect(a_abs, a_arg)
         q = cmath.rect(q_abs, q_arg)
-        lhs = qpoch_inf(a, q, policy)
-        rhs = (1 - a) * qpoch_inf(a * q, q, policy)
+        lhs = qpoch_inf(a, q)
+        rhs = (1 - a) * qpoch_inf(a * q, q)
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
-    def test_large_argument_peels(self, policy):
+    def test_large_argument_peels(self):
         # direct head-factor expansion must agree with the full product
         a, q = 40.0, 0.3
         head = (1 - a) * (1 - a * q) * (1 - a * q ** 2)
-        assert rel_err(qpoch_inf_large(a, q, policy),
-                       head * qpoch_inf_large(a * q ** 3, q, policy)) < 1e-13
+        assert rel_err(qpoch_inf_large(a, q),
+                       head * qpoch_inf_large(a * q ** 3, q)) < 1e-13
 
     @pytest.mark.parametrize("q", [0.5, -0.7, 0.6 + 0.3j, 0.95j])
     @pytest.mark.parametrize("m", [-3, 0, 4])
@@ -78,18 +77,18 @@ class TestQpoch:
         assert _vanishing_factor(a, q) == m
         assert _vanishing_factor(a * (1 + 1e-10), q) is None
 
-    def test_vectorized_matches_scalar(self, policy):
+    def test_vectorized_matches_scalar(self):
         import numpy as np
 
         args = np.array([0.3, -0.7 + 0.1j, 2.4, 0.0])
         vec = qpoch_inf_vec(args, 0.5)
         for arg, value in zip(args, vec):
-            assert rel_err(value, qpoch_inf_large(arg, 0.5, policy)) < 1e-12
+            assert rel_err(value, qpoch_inf_large(arg, 0.5)) < 1e-12
         # non-finite arguments stay non-finite and leave the others exact
         with np.errstate(invalid="ignore"):
             vec = qpoch_inf_vec(np.array([np.inf, np.nan, 0.3]), 0.5)
         assert not np.isfinite(vec[:2]).any()
-        assert rel_err(vec[2], qpoch_inf(0.3, 0.5, policy)) < 1e-12
+        assert rel_err(vec[2], qpoch_inf(0.3, 0.5)) < 1e-12
 
 
 class TestSide:
@@ -155,65 +154,65 @@ class TestPolicy:
 
 class TestQGamma:
     @pytest.mark.parametrize("key", sorted(QGAMMA))
-    def test_against_oracle(self, key, policy):
+    def test_against_oracle(self, key):
         x, q = key
-        assert rel_err(qgamma(x, q, policy), QGAMMA[key]) < 1e-11
+        assert rel_err(qgamma(x, q), QGAMMA[key]) < 1e-11
 
-    def test_recurrence(self, policy):
+    def test_recurrence(self):
         # Gamma_q(x+1) = (1 - q^x)/(1 - q) Gamma_q(x)
         x, q = 1.7, 0.6
-        lhs = qgamma(x + 1, q, policy)
-        rhs = (1 - q ** x) / (1 - q) * qgamma(x, q, policy)
+        lhs = qgamma(x + 1, q)
+        rhs = (1 - q ** x) / (1 - q) * qgamma(x, q)
         assert rel_err(lhs, rhs) < 1e-12
 
-    def test_classical_limit_improves(self, policy):
-        errs = [abs(qgamma(1.5, 1 - 10.0 ** (-k), policy) - math.gamma(1.5))
+    def test_classical_limit_improves(self):
+        errs = [abs(qgamma(1.5, 1 - 10.0 ** (-k)) - math.gamma(1.5))
                 for k in (2, 3, 4)]
         assert errs[0] > errs[1] > errs[2]
 
-    def test_pole_raises(self, policy):
+    def test_pole_raises(self):
         with pytest.raises(PoleAtNonpositiveInteger):
-            qgamma(0.0, 0.5, policy)
+            qgamma(0.0, 0.5)
         with pytest.raises(PoleAtNonpositiveInteger):
-            qgamma(-2.0, 0.5, policy)
+            qgamma(-2.0, 0.5)
 
 
 class TestQBinomial:
-    def test_integer_case_is_gaussian_coefficient(self, policy):
+    def test_integer_case_is_gaussian_coefficient(self):
         # [4 choose 2]_q = (1-q^3)(1-q^4)/((1-q)(1-q^2))
         q = 0.3
         expected = (1 - q ** 3) * (1 - q ** 4) / ((1 - q) * (1 - q ** 2))
-        assert rel_err(qbinomial(4, 2, q, policy), expected) < 1e-13
+        assert rel_err(qbinomial(4, 2, q), expected) < 1e-13
 
-    def test_matches_qgamma_ratio(self, policy):
+    def test_matches_qgamma_ratio(self):
         a, b, q = 2.3, 0.8, 0.55
-        expected = qgamma(a + 1, q, policy) / (
-            qgamma(b + 1, q, policy) * qgamma(a - b + 1, q, policy))
-        assert rel_err(qbinomial(a, b, q, policy), expected) < 1e-12
+        expected = qgamma(a + 1, q) / (
+            qgamma(b + 1, q) * qgamma(a - b + 1, q))
+        assert rel_err(qbinomial(a, b, q), expected) < 1e-12
 
-    def test_denominator_pole_gives_zero(self, policy):
-        assert qbinomial(2.0, -1.0, 0.5, policy) == 0.0
+    def test_denominator_pole_gives_zero(self):
+        assert qbinomial(2.0, -1.0, 0.5) == 0.0
 
-    def test_numerator_pole_raises(self, policy):
+    def test_numerator_pole_raises(self):
         with pytest.raises(PoleAtNonpositiveInteger):
-            qbinomial(-2.0, 0.5, 0.5, policy)
+            qbinomial(-2.0, 0.5, 0.5)
 
-    def test_coincident_poles_raise(self, policy):
+    def test_coincident_poles_raise(self):
         with pytest.raises(IndeterminateRatio):
-            qbinomial(-2.0, -1.0, 0.5, policy)
+            qbinomial(-2.0, -1.0, 0.5)
 
 
 class TestThetaProduct:
-    def test_symmetry_in_z_to_q_over_z(self, policy):
+    def test_symmetry_in_z_to_q_over_z(self):
         z, q = 0.8 + 0.3j, 0.5
-        assert rel_err(theta_product(z, q, policy),
-                       theta_product(q / z, q, policy)) < 1e-12
+        assert rel_err(theta_product(z, q),
+                       theta_product(q / z, q)) < 1e-12
 
-    def test_zero_z_rejected(self, policy):
+    def test_zero_z_rejected(self):
         from qsinc import ZeroArgument
 
         with pytest.raises(ZeroArgument):
-            theta_product(0.0, 0.5, policy)
+            theta_product(0.0, 0.5)
 
 
 def test_oracles_regen_spot_check():

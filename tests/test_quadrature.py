@@ -142,9 +142,9 @@ class TestGaussianDecay:
 
 class TestBaseIntegral:
     @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.7, 0.9])
-    def test_closed_form(self, q, spec, policy):
+    def test_closed_form(self, q, spec):
         res = base_integral(q, spec)
-        expected = qpoch_inf(q, q, policy) * math.log(1.0 / q)
+        expected = qpoch_inf(q, q) * math.log(1.0 / q)
         assert rel_err(res.value, expected) < 1e-10
 
     def test_real_base_required_by_default(self, spec):
@@ -168,9 +168,9 @@ class TestMainIntegral:
         ev = main_series(params, policy)
         assert rel_err(res.value, ev.value) < 1e-8
 
-    def test_trivial_numerator_is_theta(self, spec, policy):
+    def test_trivial_numerator_is_theta(self, spec):
         res = main_integral(_sp(0.0, 0.0, 0.8, 0.5, 0.2), spec)
-        assert rel_err(res.value, theta_product(0.8, 0.5, policy)) < 1e-10
+        assert rel_err(res.value, theta_product(0.8, 0.5)) < 1e-10
 
     def test_left_half_plane_rejected(self, spec):
         with pytest.raises(DomainError):
