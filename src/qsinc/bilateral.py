@@ -54,8 +54,8 @@ def _sum_pairs(term: Callable[[np.ndarray], np.ndarray],
     term maps an integer array to its terms.  The sum stops at the first
     n >= max(n_min, 4, decay radius for policy.eps) where three consecutive
     pairs (n, -n) each have |t(n)| + |t(-n)| <= eps max(1, |partial sum
-    through n|).  The window doubles until it holds that stop; a non-finite term before it, or a stop
-    beyond policy.max_terms terms, raises NoConvergence.
+    through n|).  The window doubles until it holds that stop.  A non-finite
+    term before it, or a stop beyond policy.max_terms, raises NoConvergence.
     """
     n_min = max(n_min, math.ceil(_decay_radius(decay, policy.eps)), 4)
     n_max = (policy.max_terms - 1) // 2
