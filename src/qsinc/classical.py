@@ -24,6 +24,9 @@ from .util import fsum_complex
 
 _INT_TOL = 1e-9  # distance below which a value counts as an exact integer
 
+# Nodes and weights of the 8-point Gauss-Legendre rule on [-1, 1].
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+
 
 @dataclass(frozen=True)
 class OslerParams:
@@ -143,13 +146,12 @@ def osler_sum(params: OslerParams, policy: TruncationPolicy) -> Side:
 
 def _gl_panels(f, lo: float, hi: float, nodes_per_unit: float) -> Side:
     """Composite 8-point Gauss-Legendre quadrature with vectorized f."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
     npan = max(1, int(math.ceil((hi - lo) * nodes_per_unit / 8.0)))
     edges = np.linspace(lo, hi, npan + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[1:] + edges[:-1])
-    xs = (mids[:, None] + half * gl_x[None, :]).ravel()
-    ws = np.tile(half * gl_w, npan)
+    xs = (mids[:, None] + half * _GL_X[None, :]).ravel()
+    ws = np.tile(half * _GL_W, npan)
     return Side(math.fsum(f(xs) * ws), "gauss-legendre", nodes_used=xs.size)
 
 

@@ -414,8 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: building it costs about as much as a small verify.
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(argv)
         if args.command == "catalog":

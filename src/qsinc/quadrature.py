@@ -33,6 +33,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .qcore import (
+    POLE_TOL,
     MultibasicParams,
     SeriesParams,
     Side,
@@ -197,6 +198,22 @@ def _check_denominator(z: complex, q: complex) -> None:
             f"denominator factor 1 + z q^{m} vanishes (z={z})")
 
 
+def _check_line_pole(z: complex, q: complex) -> None:
+    """Reject z at which (-z q^x, -q^(1-x)/z; q)_inf vanishes anywhere on
+    the real line (DenominatorZero): a pole on the integral's path.
+
+    Its factors are 1 + z q^(x+k), k in Z, and |z q^(x+k)| = 1 only at
+    x + k = s = -ln|z| / ln|q|.  So a real zero can only sit at x = s
+    (mod 1), and one does exactly when u = z exp(s Log q) has 1 + u = 0.
+    """
+    z, q = complex(z), complex(q)
+    s = -math.log(abs(z)) / math.log(abs(q))
+    u = z * cmath.exp(s * cmath.log(q))
+    if abs(1.0 + u) < POLE_TOL * (1.0 + abs(u)):
+        raise DenominatorZero(
+            f"denominator vanishes at x = {s:.17g} (mod 1) (z={z})")
+
+
 def _theta_denominator(z: complex, q: complex):
     """x -> (-z q^x, -q^(1-x)/z; q)_inf."""
     lnq = cmath.log(q)
@@ -328,6 +345,7 @@ def symmetric_integral(params: SeriesParams,
                        spec: QuadratureSpec) -> Side:
     """Integral side of the symmetric sum-equals-integral identity."""
     _check_denominator(params.z, params.qp.q)
+    _check_line_pole(params.z, params.qp.q)
     return integrate_gaussian_decay(_symmetric_integrand(params),
                                     _symmetric_decay(params), spec)
 
@@ -357,5 +375,6 @@ def multibasic_integral(params: MultibasicParams,
                         spec: QuadratureSpec) -> Side:
     """Integral side of the multibasic q-binomial identity."""
     _check_denominator(params.z, params.q)
+    _check_line_pole(params.z, params.q)
     return integrate_gaussian_decay(_multibasic_integrand(params),
                                     _multibasic_decay(params), spec)

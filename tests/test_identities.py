@@ -21,7 +21,8 @@ from qsinc import (
 from qsinc.identities import DEFAULT_TOL, expand_grid
 from qsinc.qcore import SIDE_METHODS, Side
 
-from oracles import MULTIBASIC_SERIES
+from conftest import rel_err
+from oracles import APPELL_LERCH, MULTIBASIC_SERIES
 
 _POINTS = {
     IdentityId.Main: {"a": 0.2, "b": 0.3, "z": 1.0, "q": 0.6, "p": 0.3},
@@ -219,6 +220,33 @@ class TestVerify:
     def test_elapsed_recorded(self):
         report = verify(IdentityId.TripleProduct, {"z": 0.8, "q": 0.5})
         assert report.elapsed >= 0.0
+
+
+class TestProductPrecision:
+    """Products are certified to double precision whatever the tolerance, so
+    the arms built on them agree far below it."""
+
+    @pytest.mark.parametrize("key", sorted(APPELL_LERCH))
+    def test_appell_lerch_rhs_against_oracle(self, key):
+        a, q = key
+        report = verify(IdentityId.AppellLerch, {"a": a, "q": q})
+        assert rel_err(report.rhs, APPELL_LERCH[key]) <= 1e-14
+
+    @pytest.mark.parametrize("y", [0.5, 1.0, 2.0, 3.0])
+    def test_fourier_sides_agree(self, y):
+        report = verify(IdentityId.Fourier, {"a": 0.1, "b": 0.2, "q": 0.5,
+                                             "p": 0.2, "y": y})
+        assert report.rel_err <= 1e-13
+
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_base_integral(self, q):
+        assert verify(IdentityId.BaseIntegral, {"q": q}).rel_err <= 1e-14
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("z", [0.5, 1.0, 1.5, 0.6 + 0.6j])
+    def test_triple_product(self, z, q):
+        report = verify(IdentityId.TripleProduct, {"z": z, "q": q})
+        assert report.rel_err <= 1e-14
 
 
 class TestDiagnostics:

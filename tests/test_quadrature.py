@@ -11,6 +11,7 @@ import pytest
 from qsinc import (
     DenominatorZero,
     DomainError,
+    IdentityId,
     InvalidParams,
     QParams,
     QuadratureSpec,
@@ -30,6 +31,7 @@ from qsinc import (
     theta_product,
     weighted_integral,
     weighted_series,
+    verify,
 )
 from qsinc.errors import InvalidDecay
 from qsinc.quadrature import _CHUNK
@@ -267,3 +269,29 @@ class TestDenominatorZero:
                                   q=0.5j, z=4.0)
         with pytest.raises(DenominatorZero):
             multibasic_integral(params, spec)
+
+    # z q^1.5 = -1 at q = 0.5i, z = 2 + 2i: the denominator vanishes at every
+    # half-integer, a pole on the integral's path but on no integer node.
+    _LINE_POLE = dict(a=0.1, b=0.2, z=2 + 2j, q=0.5j, p=0.2j)
+
+    def test_line_pole_stops_both_integrals(self, spec, policy):
+        pt = self._LINE_POLE
+        with pytest.raises(DenominatorZero, match="x = 1.5"):
+            symmetric_integral(_sp(pt["a"], pt["b"], pt["z"], pt["q"],
+                                   pt["p"]), spec)
+        params = MultibasicParams(factors=((pt["p"], 2, 1),), q=pt["q"],
+                                  z=pt["z"])
+        with pytest.raises(DenominatorZero, match="x = 1.5"):
+            multibasic_integral(params, spec)
+        # the sums are finite on the integers and keep their value
+        assert np.isfinite(multibasic_series(params, policy).value)
+
+    def test_line_pole_leaves_the_series_and_fails_verify(self, policy):
+        pt = self._LINE_POLE
+        ev = symmetric_series(_sp(pt["a"], pt["b"], pt["z"], pt["q"],
+                                  pt["p"]), policy)
+        assert abs(ev.value - (0.7735727450080097 + 0.0489361543099j)) < 1e-12
+        report = verify(IdentityId.Symmetric, pt)
+        assert not report.passed
+        assert report.lhs_diag["status"] == "inconclusive"
+        assert report.lhs_diag["reason"].startswith("DenominatorZero")
