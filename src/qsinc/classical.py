@@ -7,6 +7,7 @@ classical identities, which also serve as q -> 1 targets for the q modules.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,9 +24,6 @@ from .qcore import Side, TruncationPolicy
 from .util import fsum_complex
 
 _INT_TOL = 1e-9  # distance below which a value counts as an exact integer
-
-# Nodes and weights of the 8-point Gauss-Legendre rule on [-1, 1].
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -144,14 +142,22 @@ def osler_sum(params: OslerParams, policy: TruncationPolicy) -> Side:
     return _bilateral_doubling(block_sum, policy)
 
 
+@functools.cache
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 8-point Gauss-Legendre rule on [-1, 1],
+    computed on first use: numpy.polynomial is slow to import."""
+    return np.polynomial.legendre.leggauss(8)
+
+
 def _gl_panels(f, lo: float, hi: float, nodes_per_unit: float) -> Side:
     """Composite 8-point Gauss-Legendre quadrature with vectorized f."""
+    gl_x, gl_w = _gl_rule()
     npan = max(1, int(math.ceil((hi - lo) * nodes_per_unit / 8.0)))
     edges = np.linspace(lo, hi, npan + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[1:] + edges[:-1])
-    xs = (mids[:, None] + half * _GL_X[None, :]).ravel()
-    ws = np.tile(half * _GL_W, npan)
+    xs = (mids[:, None] + half * gl_x[None, :]).ravel()
+    ws = np.tile(half * gl_w, npan)
     return Side(math.fsum(f(xs) * ws), "gauss-legendre", nodes_used=xs.size)
 
 

@@ -414,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built once: building it costs about as much as a small verify.
+# Built once per process: its add_argument calls cost more than parsing a
+# command line does.
 _PARSER = build_parser()
 
 
