@@ -420,18 +420,17 @@ _PARSER = build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _PARSER
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.command == "catalog":
             if args.allow_extreme or any(
                     getattr(args, name) is not None
                     for name in ("identity", *_PARAM_FLAGS)):
-                parser.error("catalog takes no identity or parameter flags")
+                _PARSER.error("catalog takes no identity or parameter flags")
         elif args.identity is None:
-            parser.error(f"{args.command} requires --identity")
+            _PARSER.error(f"{args.command} requires --identity")
         if args.tol is not None and args.tol <= 0.0:
-            parser.error("--tol must be positive")
+            _PARSER.error("--tol must be positive")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

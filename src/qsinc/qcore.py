@@ -317,8 +317,7 @@ def qgamma(x: complex, q: complex) -> complex:
 
     Gamma_q(x) = (q;q)_inf / (q^x;q)_inf * (1-q)^(1-x), principal branch.
     The product ratio is accumulated factor by factor: both products underflow
-    to zero for q near 1, but their factor ratios stay of order one.  The
-    factor count is the tail bound's alone.
+    to zero for q near 1, but their factor ratios stay of order one.
     """
     aq = abs(q)
     if not 0.0 < aq < 1.0:
