@@ -87,15 +87,15 @@ def binomial_profile(a: float, u: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(out), out, 0.0)
 
 
-def _bilateral_doubling(block_sum, policy: TruncationPolicy,
-                        start: int = 256) -> Side:
+def _bilateral_doubling(block_sum, policy: TruncationPolicy) -> Side:
     """Sum f over Z by doubling symmetric windows until the rings stabilize.
 
     block_sum(n) must return the sum of f over the integer array n; it is
-    called on [-N, N] and then on the rings N < |n| <= 2N.  The tail
+    called on [-N, N], N = min(256, max_terms), and then on the rings
+    N < |n| <= 2N.  The tail
     estimate is the size of the last ring.
     """
-    n_hi = min(start, policy.max_terms)
+    n_hi = min(256, policy.max_terms)
     total = block_sum(np.arange(-n_hi, n_hi + 1))
     terms = 2 * n_hi + 1
     small_rings = 0

@@ -20,7 +20,7 @@ import numpy as np
 from . import identities
 from .classical import gamma_classical
 from .errors import InvalidParams, QsincError
-from .identities import DEFAULT_TOL, IdentityId, IdentityReport
+from .identities import IdentityId, IdentityReport
 from .qcore import default_policy, qgamma
 from .util import format_complex, format_real, parse_complex
 

@@ -435,8 +435,6 @@ def expand_grid(grid: Mapping[str, list]) -> list[dict[str, Any]]:
 
 def sweep_points(ident: IdentityId, points: list[dict[str, Any]],
                  tol: float | None = None,
-                 policy: TruncationPolicy | None = None,
-                 spec: QuadratureSpec | None = None,
                  threads: int = 1) -> tuple[list[IdentityReport], dict[str, Any]]:
     """Run verify over every point; failures are recorded, not raised.
 
@@ -447,7 +445,7 @@ def sweep_points(ident: IdentityId, points: list[dict[str, Any]],
 
     def run(point: dict[str, Any]) -> IdentityReport:
         try:
-            return verify(ident, point, tol=tol, policy=policy, spec=spec)
+            return verify(ident, point, tol=tol)
         except InvalidParams as exc:
             return make_report(
                 ident, point, 0.0, 0.0,

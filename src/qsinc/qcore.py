@@ -112,14 +112,13 @@ class QParams:
     """Base pair (p, q) with |p| < |q| < 1 and derived decay exponents.
 
     alpha = ln|q| / ln|p| in (0, 1) controls the Gaussian term decay
-    q^{(1-alpha) n^2 / 2}; omega = -ln|p|.
+    q^{(1-alpha) n^2 / 2}.
     """
 
     p: complex
     q: complex
     allow_extreme: bool = False
     alpha: float = field(init=False)
-    omega: float = field(init=False)
 
     def __post_init__(self) -> None:
         ap, aq = abs(self.p), abs(self.q)
@@ -138,7 +137,6 @@ class QParams:
                     f"|p|={ap} > 0.95|q|; pass allow_extreme=True to override"
                 )
         object.__setattr__(self, "alpha", math.log(aq) / math.log(ap))
-        object.__setattr__(self, "omega", -math.log(ap))
 
 
 @dataclass(frozen=True)
@@ -242,7 +240,9 @@ def _tail_index(a_abs: float, q_abs: float, eps: float) -> int:
     """Smallest N with tail bound 2|a| |q|^N / (1 - |q|) < eps."""
     if a_abs == 0.0:
         return 0
-    n = math.log(eps * (1.0 - q_abs) / (2.0 * a_abs)) / math.log(q_abs)
+    # Two logs: eps (1 - |q|) / (2|a|) underflows to 0 for |a| near 1e308.
+    n = ((math.log(eps * (1.0 - q_abs) / 2.0) - math.log(a_abs))
+         / math.log(q_abs))
     return int(math.ceil(max(n, 0.0))) + 1
 
 

@@ -11,9 +11,11 @@ between 1/3 and 2/3 and so never reach an integer: the two sides share code
 but no samples.  For such integrands the refined trapezoid rule on a
 truncated window converges spectrally, so the rule starts coarse, at 2 nodes
 per unit, and the error estimate is the difference of the last two
-refinement levels.  Each level is sampled in chunks of _CHUNK nodes, so the
-node-by-factor matrices of the products stay small, and one integral may use
-at most QuadratureSpec.max_nodes nodes.
+refinement levels.  Every node is sampled once: the first level's two
+outermost samples certify that the truncation is negligible.  Each level is
+sampled in chunks of _CHUNK nodes, so the node-by-factor matrices of the
+products stay small, and one integral may use at most
+QuadratureSpec.max_nodes nodes.
 """
 
 from __future__ import annotations
@@ -56,23 +58,19 @@ _CHUNK = 512
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Domain truncation and refinement controls.
+    """Refinement controls; the decay model sets the window.
 
     The first level has nodes_per_unit nodes per unit (at least 2, so the
     spacing is at most 1/2); each refinement halves the spacing until two
-    levels agree to eps.  max_nodes caps the nodes of one integral, edge
-    probes aside: a level that would exceed it raises QuadratureFailure
-    instead of being sampled.
+    levels agree to eps.  max_nodes caps the nodes of one integral: a level
+    that would exceed it raises QuadratureFailure instead of being sampled.
     """
 
-    half_width: float = 1.0
     nodes_per_unit: int = 2
     max_nodes: int = 2 ** 18
     eps: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.half_width <= 0.0:
-            raise InvalidParams("half_width must be positive")
         if self.nodes_per_unit < 2:
             raise InvalidParams("nodes_per_unit must be >= 2")
         if self.max_nodes < 1:
@@ -113,8 +111,10 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
     values; it is called on at most _CHUNK nodes at a time.  decay = (g, r)
     with g > 0 in natural-log units.  No node is an integer, so the integral
     never samples the series' lattice.  Every sample enters the value, so
-    the first non-finite one raises QuadratureFailure, and so does a level
-    that would take the integral past spec.max_nodes.
+    the first non-finite one raises QuadratureFailure.  So does a first
+    level whose outermost samples exceed eps/10 (the window does not
+    contain the integrand: the decay model is too fast), and a level that
+    would take the integral past spec.max_nodes.
     """
     g, r = decay
     if g <= 0.0:
@@ -132,22 +132,11 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
             out[lo:lo + _CHUNK] = v
         return out
 
-    z = max(spec.half_width,
-            _RADIUS_SAFETY * _decay_radius(decay, spec.eps / 10.0))
+    z = _RADIUS_SAFETY * _decay_radius(decay, spec.eps / 10.0)
     # Nodes h (k + off/3), k in [-npts, npts]; midpoints turn offset 1 into 2
     # and 2 into 1 at half the spacing.
     h = 1.0 / spec.nodes_per_unit
     off = 1
-
-    # Domain-truncation certificate: the outermost nodes must be negligible.
-    for _ in range(4):
-        npts = math.ceil(z / h)
-        ends = h * (np.array([-npts, npts]) + off / 3)
-        edge = np.max(np.abs(sample(ends)))
-        if edge <= spec.eps / 10.0:
-            break
-        z *= 1.25
-
     npts = math.ceil(z / h)
     xs = h * (np.arange(-npts, npts + 1) + off / 3)
     total, nodes = 0j, 0
@@ -160,7 +149,13 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
             raise QuadratureFailure(
                 f"level {level} needs {nodes + xs.size} nodes, above "
                 f"max_nodes={spec.max_nodes}; {last}")
-        total += fsum_complex(sample(xs))
+        v = sample(xs)
+        edge = max(abs(v[0]), abs(v[-1]))
+        if level == 0 and edge > spec.eps / 10.0:  # truncation certificate
+            raise QuadratureFailure(
+                f"window edge sample |f|={edge:.2e} > eps/10 on the window "
+                f"|x| <= {z:.6g}; the decay model is too fast")
+        total += fsum_complex(v)
         nodes += xs.size
         prev, value = value, h * total
         if prev is not None:
@@ -302,36 +297,27 @@ def _multibasic_decay(params: MultibasicParams) -> tuple[float, float]:
     return _gaussian_decay(params.q, params.alpha_sum, z=params.z)
 
 
-def base_integral(q: complex, spec: QuadratureSpec,
-                  allow_complex: bool = False) -> Side:
+def base_integral(q: complex, spec: QuadratureSpec) -> Side:
     """int_0^inf dt / (t (-t, -q/t; q)_inf), evaluated as ln(1/q) times the
-    zeta-integral of 1 / (-q^zeta, -q^(1-zeta); q)_inf."""
+    zeta-integral of 1 / (-q^zeta, -q^(1-zeta); q)_inf; q real in (0, 1)."""
     qc = complex(q)
-    if not allow_complex and (qc.imag != 0.0 or not 0.0 < qc.real < 1.0):
-        raise InvalidParams(
-            f"q must be real in (0, 1) (got {q}); pass allow_complex to continue"
-        )
-    if not 0.0 < abs(qc) < 1.0:
-        raise InvalidParams(f"need 0 < |q| < 1, got {abs(qc)}")
+    if qc.imag != 0.0 or not 0.0 < qc.real < 1.0:
+        raise InvalidParams(f"q must be real in (0, 1), got {q}")
     scale = -cmath.log(qc)  # ln(1/q)
     den = _theta_denominator(1.0, qc)
     return integrate_gaussian_decay(lambda x: scale / den(x),
                                     _gaussian_decay(qc, 0.0), spec)
 
 
-def main_integral(params: SeriesParams, spec: QuadratureSpec,
-                  continuation: bool = False) -> Side:
+def main_integral(params: SeriesParams, spec: QuadratureSpec) -> Side:
     """Integral side of the main bilateral identity, prefactor included.
 
     (-z, -q/z; q)_inf int_R (b q^z/z, a z q^-z; p)_inf /
-    (-q^z, -q^(1-z); q)_inf dzeta; requires Re z > 0 (regularity half plane)
-    unless continuation is set.
+    (-q^z, -q^(1-z); q)_inf dzeta; requires Re z > 0 (regularity half plane).
     """
     z = complex(params.z)
-    if z.real <= 0.0 and not continuation:
-        raise DomainError(
-            f"Re z must be positive (got z={z}); pass continuation to override"
-        )
+    if z.real <= 0.0:
+        raise DomainError(f"Re z must be positive, got z={z}")
     qp = params.qp
     qc = complex(qp.q)
     pref = qpoch_inf_large(-z, qc) * qpoch_inf_large(-qc / z, qc)

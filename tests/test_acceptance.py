@@ -4,8 +4,6 @@ import json
 import math
 import random
 
-import pytest
-
 from qsinc import (
     IdentityId,
     QParams,

@@ -15,7 +15,6 @@ from qsinc import (
     InvalidParams,
     OslerParams,
     PoleAtNonpositiveInteger,
-    TruncationPolicy,
     binomial_profile,
     binomial_real,
     classical_integral,

@@ -99,6 +99,16 @@ class TestVerifyCommand:
         assert diag["lhs"] == diag["rhs"] == {}
         assert diag["rule"] == "rel"
 
+    def test_product_argument_near_the_largest_float(self, capsys):
+        # A product argument near 1e308 escaped as a math domain error,
+        # which the CLI reported as a usage error (exit 64).
+        code, out, _ = run(capsys, "verify", "--identity", "weighted",
+                           "--a", ".8", "--b", "-.8", "--q", ".1",
+                           "--p", ".095", "--m", "-3")
+        assert code == 3
+        reason = json.loads(out)["diagnostics"]["reason"]
+        assert reason.startswith("NoConvergence")
+
 
 class TestJsonFormat:
     def test_round_trip_byte_identical(self, capsys):

@@ -20,6 +20,9 @@ _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # Accepted, but the integrand overflows: inconclusive (QuadratureFailure).
 _OVERFLOW = {"a": 0.2, "b": 0.3, "z": 1.0, "q": 0.3, "p": 0.285}
 _PASSING = {"a": 0.2, "b": 0.3, "z": 1.0, "q": 0.6, "p": 0.3}
+# Accepted, but a product argument is near the largest float: inconclusive
+# (NoConvergence), not a usage error.
+_HUGE_ARGUMENT = {"a": 0.8, "b": -0.8, "q": 0.1, "p": 0.095, "m": -3}
 
 
 def _load(name: str):
@@ -51,9 +54,9 @@ def workloads():
     return _load("workloads")
 
 
-def _cli_outcome(workloads, capsys, params):
-    op = workloads.Op("main", params)
-    code = cli.main(list(workloads.cli_argv("main", params)))
+def _cli_outcome(workloads, capsys, params, ident="main"):
+    op = workloads.Op(ident, params)
+    code = cli.main(list(workloads.cli_argv(ident, params)))
     return workloads.judge_cli(op, code, capsys.readouterr().out)
 
 
@@ -74,3 +77,9 @@ def test_judge_cli_passes_a_passing_verify(workloads, capsys):
     out = _cli_outcome(workloads, capsys, _PASSING)
     assert out.failure is None and out.incorrect is None
     assert out.margin is not None
+
+
+def test_judge_cli_reads_a_huge_product_argument(workloads, capsys):
+    out = _cli_outcome(workloads, capsys, _HUGE_ARGUMENT, "weighted")
+    assert out.failure == "inconclusive:NoConvergence"
+    assert out.incorrect is None

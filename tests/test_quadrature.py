@@ -67,11 +67,25 @@ class TestGaussianDecay:
                                                       1e-15)
 
     def test_half_width_doubling_certificate(self, spec):
+        # A decay model 4x slower at least doubles the window.
         f = lambda x: np.exp(-x * x)
         res = integrate_gaussian_decay(f, (1.0, 1.0), spec)
-        wide = replace(spec, half_width=2 * res.half_width_used)
-        res2 = integrate_gaussian_decay(f, (1.0, 1.0), wide)
+        res2 = integrate_gaussian_decay(f, (0.25, 1.0), spec)
+        assert res2.half_width_used >= 2 * res.half_width_used
         assert abs(res.value - res2.value) < spec.eps / 5
+
+    def test_too_fast_decay_model_fails_at_the_window_edge(self):
+        # exp(-x^2/100) is not negligible at the edge of the window that
+        # decay (1, 1) sets; no refinement may be sampled.
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.exp(-x * x / 100.0)
+
+        with pytest.raises(QuadratureFailure, match="window edge"):
+            integrate_gaussian_decay(f, (1.0, 1.0), QuadratureSpec())
+        assert len(calls) == 1
 
     def test_nodes_avoid_the_integers(self):
         # The series samples the integrand on Z; the integral must not.
@@ -85,7 +99,7 @@ class TestGaussianDecay:
                                        QuadratureSpec(nodes_per_unit=8))
         assert res.refinements_used >= 1
         nodes = np.concatenate(seen)
-        assert nodes.size == res.nodes_used + 2  # plus the two edge probes
+        assert nodes.size == res.nodes_used
         assert np.min(np.abs(nodes - np.round(nodes))) > 1e-3
 
     def test_nonfinite_sample_fails_fast(self):
@@ -98,7 +112,7 @@ class TestGaussianDecay:
 
         with pytest.raises(QuadratureFailure, match="non-finite .* x="):
             integrate_gaussian_decay(f, (0.1, 1.0), QuadratureSpec())
-        assert len(sizes) <= 2  # the edge probe and the first level
+        assert len(sizes) == 1  # the first level
 
     def test_infinities_of_both_signs_fail_typed(self):
         # inf + (-inf) in the first refinement: QuadratureFailure, not the
@@ -108,34 +122,34 @@ class TestGaussianDecay:
         def f(x):
             calls.append(x.size)
             v = np.exp(-x * x).astype(complex)
-            if len(calls) == 3:
+            if len(calls) == 2:
                 v[:2] = [np.inf, -np.inf]
             return v
 
         with pytest.raises(QuadratureFailure, match="non-finite"):
             integrate_gaussian_decay(f, (1.0, 1.0), QuadratureSpec())
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_node_budget_caps_an_integral(self, spec):
         # Seeded 1e-8 noise keeps successive levels about 1e-7 / sqrt(nodes)
-        # apart, so the estimate never reaches eps within the budget.
+        # apart, so the estimate never reaches eps within the budget.  The
+        # noise stops at |x| = 6, inside the window (about 6.57), so the
+        # window's edge samples stay negligible.
         rng = np.random.default_rng(0)
         sizes = []
 
         def f(x):
             sizes.append(x.size)
-            return np.exp(-x * x) + 1e-8 * rng.standard_normal(x.size)
+            noise = 1e-8 * rng.standard_normal(x.size)
+            return np.exp(-x * x) + np.where(np.abs(x) < 6.0, noise, 0.0)
 
         with pytest.raises(QuadratureFailure,
                            match=r"max_nodes=262144; last estimate"):
             integrate_gaussian_decay(f, (1.0, 1.0), spec)
         assert max(sizes) <= _CHUNK
-        # The level nodes, plus at most four two-node edge probes.
-        assert sum(sizes) <= spec.max_nodes + 8
+        assert sum(sizes) <= spec.max_nodes
 
     def test_spec_validation(self):
-        with pytest.raises(InvalidParams):
-            QuadratureSpec(half_width=0.0)
         with pytest.raises(InvalidParams):
             QuadratureSpec(nodes_per_unit=1)
         with pytest.raises(InvalidParams):
@@ -152,7 +166,6 @@ class TestBaseIntegral:
     def test_real_base_required_by_default(self, spec):
         with pytest.raises(InvalidParams):
             base_integral(0.5 + 0.1j, spec)
-        base_integral(0.5 + 0.1j, spec, allow_complex=True)
 
 
 class TestMainIntegral:
@@ -177,8 +190,6 @@ class TestMainIntegral:
     def test_left_half_plane_rejected(self, spec):
         with pytest.raises(DomainError):
             main_integral(_sp(0.2, 0.3, -1.0 + 0.2j, 0.6, 0.3), spec)
-        main_integral(_sp(0.2, 0.3, -1.0 + 0.2j, 0.6, 0.3), spec,
-                      continuation=True)
 
 
 class TestSymmetricIntegral:
