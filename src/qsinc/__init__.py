@@ -49,8 +49,6 @@ from .qcore import (
     QParams,
     SeriesParams,
     Side,
-    TruncationPolicy,
-    default_policy,
     qbinomial,
     qgamma,
     qpoch_finite,
@@ -59,7 +57,6 @@ from .qcore import (
     theta_product,
 )
 from .quadrature import (
-    QuadratureSpec,
     base_integral,
     fourier_integral,
     integrate_gaussian_decay,

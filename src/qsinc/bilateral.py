@@ -19,12 +19,13 @@ import numpy as np
 
 from .errors import InvalidParams, KernelPole, NoConvergence
 from .qcore import (
+    SERIES_MAX_TERMS,
     BaileyParams,
     MultibasicParams,
     QParams,
     SeriesParams,
     Side,
-    TruncationPolicy,
+    _check_eps,
     _vanishing_factor,
     qpoch_finite,
     qpoch_inf,
@@ -47,18 +48,19 @@ from .util import fsum_complex
 
 
 def _sum_pairs(term: Callable[[np.ndarray], np.ndarray],
-               decay: tuple[float, float], policy: TruncationPolicy,
+               decay: tuple[float, float], eps: float,
                n_min: int = 0) -> Side:
     """Sum term(n) over n in Z as a window [-N, N] of the integer lattice.
 
     term maps an integer array to its terms.  The sum stops at the first
-    n >= max(n_min, 4, decay radius for policy.eps) where three consecutive
-    pairs (n, -n) each have |t(n)| + |t(-n)| <= eps max(1, |partial sum
-    through n|).  The window doubles until it holds that stop.  A non-finite
-    term before it, or a stop beyond policy.max_terms, raises NoConvergence.
+    n >= max(n_min, 4, decay radius for eps) where three consecutive pairs
+    (n, -n) each have |t(n)| + |t(-n)| <= eps max(1, |partial sum through
+    n|).  The window doubles until it holds that stop.  A non-finite term
+    before it, or a stop beyond SERIES_MAX_TERMS, raises NoConvergence.
     """
-    n_min = max(n_min, math.ceil(_decay_radius(decay, policy.eps)), 4)
-    n_max = (policy.max_terms - 1) // 2
+    _check_eps(eps)
+    n_min = max(n_min, math.ceil(_decay_radius(decay, eps)), 4)
+    n_max = (SERIES_MAX_TERMS - 1) // 2
     half = n_min + 4
     while True:
         big = min(half, n_max)
@@ -68,7 +70,7 @@ def _sum_pairs(term: Callable[[np.ndarray], np.ndarray],
             plus, minus = t[big + 1:], t[big - 1::-1]  # t(n), t(-n), n >= 1
             mag = np.abs(plus) + np.abs(minus)
             partial = np.abs(t[big] + np.cumsum(plus + minus))
-            small = mag <= policy.eps * np.maximum(1.0, partial)
+            small = mag <= eps * np.maximum(1.0, partial)
         small[:n_min - 1] = False
         stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:]) + 3
         bad = (np.flatnonzero(~np.isfinite(mag)) + 1).tolist()
@@ -82,9 +84,8 @@ def _sum_pairs(term: Callable[[np.ndarray], np.ndarray],
         if bad:
             raise NoConvergence(f"term overflow at |n|={bad[0]}")
         if big == n_max:
-            raise NoConvergence(
-                f"bilateral sum did not converge within {policy.max_terms} terms"
-            )
+            raise NoConvergence(f"bilateral sum did not converge within "
+                                f"{SERIES_MAX_TERMS} terms")
         half *= 2
 
 
@@ -121,32 +122,28 @@ def _bailey_decay(q: complex, alpha: float, pairs,
     return 2.0 * decays[0][0], max(r for _, r in decays)
 
 
-def main_series(params: SeriesParams,
-                policy: TruncationPolicy) -> Side:
+def main_series(params: SeriesParams, eps: float) -> Side:
     """Bilateral sum of (b q^n, a q^-n; p)_inf z^n q^(n(n-1)/2)."""
     term = _product_terms(params.qp, ((params.a, params.b),), params.z, 1)
-    return _sum_pairs(term, _symmetric_decay(params), policy)
+    return _sum_pairs(term, _symmetric_decay(params), eps)
 
 
-def symmetric_series(params: SeriesParams,
-                     policy: TruncationPolicy) -> Side:
+def symmetric_series(params: SeriesParams, eps: float) -> Side:
     """Bilateral sum of (b q^n, a q^-n; p)_inf / (-z q^n, -q^(1-n)/z; q)_inf."""
     _check_denominator(params.z, params.qp.q)
     return _sum_pairs(_symmetric_integrand(params), _symmetric_decay(params),
-                      policy)
+                      eps)
 
 
-def weighted_series(params: SeriesParams, m: int,
-                    policy: TruncationPolicy) -> Side:
+def weighted_series(params: SeriesParams, m: int, eps: float) -> Side:
     """Symmetric-form bilateral sum at z = 1 with weight q^(mn)."""
     if params.z != 1:
         raise InvalidParams("weighted_series is defined at z = 1")
     return _sum_pairs(_weighted_integrand(params, m),
-                      _weighted_decay(params, m), policy)
+                      _weighted_decay(params, m), eps)
 
 
-def fourier_series_side(params: SeriesParams, y: float,
-                        policy: TruncationPolicy) -> Side:
+def fourier_series_side(params: SeriesParams, y: float, eps: float) -> Side:
     """Full sinh-kernel side of the Fourier-transform identity at z = 1.
 
     (2 pi i / ln q) / sinh(pi y / ln q)
@@ -167,11 +164,10 @@ def fourier_series_side(params: SeriesParams, y: float,
     pref /= (qpoch_inf(q, q) ** 2 * qpoch_inf_large(-eiy, q)
              * qpoch_inf_large(-complex(q) / eiy, q))
     return _sum_pairs(_fourier_integrand(params, y), _symmetric_decay(params),
-                      policy).scaled(pref)
+                      eps).scaled(pref)
 
 
-def bailey_series(params: BaileyParams, side: str,
-                  policy: TruncationPolicy) -> Side:
+def bailey_series(params: BaileyParams, side: str, eps: float) -> Side:
     """Either side of the four-product transformation with q^(n(n-1)) weights.
 
     side is "left" or "right"; the right side carries the z prefactor.
@@ -181,15 +177,14 @@ def bailey_series(params: BaileyParams, side: str,
     decay = _bailey_decay(qp.q, qp.alpha, ((a1, b1), (a2, b2)), z)
     if side == "left":
         term = _product_terms(qp, ((a1, b1), (a2, b2)), z, 2)
-        return _sum_pairs(term, decay, policy)
+        return _sum_pairs(term, decay, eps)
     if side != "right":
         raise InvalidParams(f"side must be 'left' or 'right', got {side!r}")
     term = _product_terms(qp, ((a1 * z, b1 / z), (a2 * z, b2 / z)), 1.0 / z, 2)
-    return _sum_pairs(term, decay, policy).scaled(z)
+    return _sum_pairs(term, decay, eps).scaled(z)
 
 
-def appell_lerch_rhs(a: complex, q: complex,
-                     policy: TruncationPolicy) -> Side:
+def appell_lerch_rhs(a: complex, q: complex, eps: float) -> Side:
     """2 (qa, q/a; q^2)_inf  sum_n (-1/a)^n q^(n^2+n) / (1 - a q^(2n+1)).
 
     Lattice points a = q^-(2n+1) are removable: the matching zero of the
@@ -219,12 +214,12 @@ def appell_lerch_rhs(a: complex, q: complex,
 
     if n_star is None:
         pref = 2.0 * qpoch_inf_large(q * a, q2) * qpoch_inf_large(q / a, q2)
-        return _sum_pairs(term, decay, policy).scaled(pref)
+        return _sum_pairs(term, decay, eps).scaled(pref)
 
     # Pair the vanishing prefactor-factor with pole term c: pref (w S + d c).
     u = 1.0 - a * q ** (2 * n_star + 1)
     c = complex(bare(n_star))
-    ev = _sum_pairs(term, decay, policy, abs(n_star) + 2)
+    ev = _sum_pairs(term, decay, eps, abs(n_star) + 2)
     if n_star >= 0:
         # u is literally factor n_star of (qa; q^2)_inf; leave it out.
         pref = 2.0 * qpoch_inf_large(q / a, q2) \
@@ -241,9 +236,8 @@ def appell_lerch_rhs(a: complex, q: complex,
     return ev.scaled(pref * w) + Side(pref * d * c, "product")
 
 
-def multibasic_series(params: MultibasicParams,
-                      policy: TruncationPolicy) -> Side:
+def multibasic_series(params: MultibasicParams, eps: float) -> Side:
     """Bilateral sum of the multibasic q-binomial terms."""
     _check_denominator(params.z, params.q)
     return _sum_pairs(_multibasic_integrand(params), _multibasic_decay(params),
-                      policy)
+                      eps)

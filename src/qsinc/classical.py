@@ -20,7 +20,7 @@ from .errors import (
     QuadratureFailure,
     SlowConvergence,
 )
-from .qcore import Side, TruncationPolicy
+from .qcore import SERIES_MAX_TERMS, Side, _check_eps
 from .util import fsum_complex
 
 _INT_TOL = 1e-9  # distance below which a value counts as an exact integer
@@ -87,15 +87,17 @@ def binomial_profile(a: float, u: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(out), out, 0.0)
 
 
-def _bilateral_doubling(block_sum, policy: TruncationPolicy) -> Side:
+def _bilateral_doubling(block_sum, eps: float) -> Side:
     """Sum f over Z by doubling symmetric windows until the rings stabilize.
 
     block_sum(n) must return the sum of f over the integer array n; it is
-    called on [-N, N], N = min(256, max_terms), and then on the rings
-    N < |n| <= 2N.  The tail
-    estimate is the size of the last ring.
+    called on [-256, 256] and then on the rings N < |n| <= 2N, N = 256, 512,
+    ..., until two consecutive rings are below eps max(1, |total|).  A ring
+    that would take the sum past SERIES_MAX_TERMS raises SlowConvergence.
+    The tail estimate is the size of the last ring.
     """
-    n_hi = min(256, policy.max_terms)
+    _check_eps(eps)
+    n_hi = 256
     total = block_sum(np.arange(-n_hi, n_hi + 1))
     terms = 2 * n_hi + 1
     small_rings = 0
@@ -104,9 +106,9 @@ def _bilateral_doubling(block_sum, policy: TruncationPolicy) -> Side:
         if small_rings >= 2:
             return Side(total, "doubling", terms_used=terms,
                         half_width_used=n_hi, tail_estimate=tail)
-        if 2 * n_hi > policy.max_terms:
+        if 2 * n_hi > SERIES_MAX_TERMS:
             raise SlowConvergence(
-                f"no convergence within {policy.max_terms} terms"
+                f"no convergence within {SERIES_MAX_TERMS} terms"
             )
         far = np.arange(n_hi + 1, 2 * n_hi + 1)
         ring = block_sum(np.concatenate([-far[::-1], far]))
@@ -114,13 +116,13 @@ def _bilateral_doubling(block_sum, policy: TruncationPolicy) -> Side:
         terms += 2 * n_hi
         n_hi *= 2
         tail = abs(ring)
-        if tail <= policy.eps * max(1.0, abs(total)):
+        if tail <= eps * max(1.0, abs(total)):
             small_rings += 1
         else:
             small_rings = 0
 
 
-def osler_sum(params: OslerParams, policy: TruncationPolicy) -> Side:
+def osler_sum(params: OslerParams, eps: float) -> Side:
     """Bilateral sum of binom(a, b+alpha n) v^(b+alpha n) with v=e^{i theta}.
 
     Terms decay like |n|^{-a-1}, so a > 0 is required; symmetric windows are
@@ -139,7 +141,7 @@ def osler_sum(params: OslerParams, policy: TruncationPolicy) -> Side:
         u = b + alpha * n
         return fsum_complex(binomial_profile(a, u) * np.exp(1j * theta * u))
 
-    return _bilateral_doubling(block_sum, policy)
+    return _bilateral_doubling(block_sum, eps)
 
 
 @functools.cache
@@ -161,16 +163,14 @@ def _gl_panels(f, lo: float, hi: float, nodes_per_unit: float) -> Side:
     return Side(math.fsum(f(xs) * ws), "gauss-legendre", nodes_used=xs.size)
 
 
-def classical_sum(a: float, alpha: float, l: int,
-                  policy: TruncationPolicy) -> Side:
+def classical_sum(a: float, alpha: float, l: int, eps: float) -> Side:
     """Sum over Z of binom(a, alpha n)^l."""
 
     return _bilateral_doubling(
-        lambda n: math.fsum(binomial_profile(a, alpha * n) ** l), policy)
+        lambda n: math.fsum(binomial_profile(a, alpha * n) ** l), eps)
 
 
-def classical_integral(a: float, alpha: float, l: int,
-                       policy: TruncationPolicy) -> Side:
+def classical_integral(a: float, alpha: float, l: int, eps: float) -> Side:
     """Integral over R of binom(a, alpha x)^l.
 
     The domain is grown in doubling rings until the measured algebraic tail
@@ -178,6 +178,7 @@ def classical_integral(a: float, alpha: float, l: int,
     the panel rule has converged.  The error estimate is the larger of the
     last ring and the change under that refinement.
     """
+    _check_eps(eps)
     f = lambda x: binomial_profile(a, alpha * x) ** l
     density = 16.0 * max(1.0, alpha)
     x0 = 64.0
@@ -192,13 +193,13 @@ def classical_integral(a: float, alpha: float, l: int,
         total += ring
         x0 *= 2.0
         tail = abs(ring.value)
-        if tail <= policy.eps * max(1.0, abs(total.value)):
+        if tail <= eps * max(1.0, abs(total.value)):
             small_rings += 1
         else:
             small_rings = 0
     refined = _gl_panels(f, -x0, x0, 2.0 * density)
     err = abs(refined.value - total.value)
-    if err > 100.0 * policy.eps * max(1.0, abs(refined.value)):
+    if err > 100.0 * eps * max(1.0, abs(refined.value)):
         raise QuadratureFailure(
             f"node-density refinement changed value by {err:.2e}"
         )

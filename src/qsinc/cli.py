@@ -21,7 +21,7 @@ from . import identities
 from .classical import gamma_classical
 from .errors import InvalidParams, QsincError
 from .identities import IdentityId, IdentityReport
-from .qcore import default_policy, qgamma
+from .qcore import qgamma
 from .util import format_complex, format_real, parse_complex
 
 _PARAM_FLAGS = (
@@ -190,6 +190,11 @@ def _report_to_text(report: IdentityReport) -> str:
     reason = report.lhs_diag.get("reason")
     if reason:
         lines.append(f"  reason: {reason}")
+    else:
+        lines.append(f"  rule: {report.rule}")
+        for name, diag in (("lhs", report.lhs_diag), ("rhs", report.rhs_diag)):
+            fields = " ".join(f"{k}={_csv_cell(v)}" for k, v in diag.items())
+            lines.append(f"  {name}: {fields}")
     return "\n".join(lines)
 
 
@@ -311,15 +316,16 @@ def _limit_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
         defaults = ({"a": 2.0, "alpha": 0.5} if ident is IdentityId.Osler
                     else {"a": 2.0, "alpha": 1.0, "l": 2})
         for eps in (1e-4, 1e-6, 1e-8, 1e-10):
-            report = identities.verify(ident, {**defaults, **params},
-                                       policy=default_policy(eps=eps))
+            report = identities.verify(ident, {**defaults, **params}, eps=eps)
             if report.lhs_diag.get("status") == "inconclusive":
                 raise QsincError(report.lhs_diag["reason"])
             rows.append({"parameter": eps, "lhs": report.lhs,
                          "rhs": report.rhs, "error": report.abs_err})
     elif name == "qgamma":
         x = params.get("x", 1.5)
-        rhs = gamma_classical(float(x))
+        if isinstance(x, complex):
+            raise InvalidParams(f"x must be real, got {format_complex(x)}")
+        rhs = gamma_classical(x)
         for k in (2, 3, 4):
             q = 1.0 - 10.0 ** (-k)
             lhs = qgamma(x, q)
@@ -429,8 +435,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 _PARSER.error("catalog takes no identity or parameter flags")
         elif args.identity is None:
             _PARSER.error(f"{args.command} requires --identity")
-        if args.tol is not None and args.tol <= 0.0:
-            _PARSER.error("--tol must be positive")
+        if args.tol is not None and not 0.0 < args.tol < math.inf:
+            _PARSER.error("--tol must be positive and finite")
+        if args.threads < 1:
+            _PARSER.error("--threads must be >= 1")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -38,7 +38,9 @@ class SlowConvergence(NoConvergence):
 
 
 class QuadratureFailure(QsincError):
-    """Quadrature error estimate stayed above tolerance at max refinement."""
+    """A quadrature could not certify its value: a non-finite sample, a
+    window that does not contain the integrand, or no convergence within
+    the node budget."""
 
 
 class PoleAtNonpositiveInteger(QsincError):

@@ -31,12 +31,10 @@ from .qcore import (
     QParams,
     SeriesParams,
     Side,
-    TruncationPolicy,
-    default_policy,
     qpoch_inf,
     theta_product,
 )
-from .quadrature import QuadratureSpec, _binomial_normalizer, _gaussian_decay
+from .quadrature import _binomial_normalizer, _gaussian_decay
 
 
 class IdentityId(Enum):
@@ -213,23 +211,23 @@ def _integer(params: Mapping[str, Any], name: str,
 
 
 def verify(ident: IdentityId, params: Mapping[str, Any],
-           tol: float | None = None, policy: TruncationPolicy | None = None,
-           spec: QuadratureSpec | None = None) -> IdentityReport:
+           tol: float | None = None,
+           eps: float | None = None) -> IdentityReport:
     """Evaluate both sides of one identity and report the comparison.
 
+    Every sum and integral is computed to the target precision eps, by
+    default min(tol/100, 1e-10); an eps outside (0, 1) is InvalidParams.
     InvalidParams (violated hypotheses) propagates to the caller; numerical
     failures (no convergence, quadrature failure) yield an inconclusive
     report with passed=False and the failure reason in the diagnostics.
     """
     if tol is None:
         tol = DEFAULT_TOL[ident]
-    if policy is None:
-        policy = default_policy(eps=min(tol / 100.0, 1e-10))
-    if spec is None:
-        spec = QuadratureSpec(eps=min(tol / 10.0, 1e-10))
+    if eps is None:
+        eps = min(tol / 100.0, 1e-10)
     start = time.perf_counter()
     try:
-        lhs, rhs = _DISPATCH[ident](params, policy, spec)
+        lhs, rhs = _DISPATCH[ident](params, eps)
     except InvalidParams:
         raise
     except QsincError as exc:
@@ -244,19 +242,19 @@ def verify(ident: IdentityId, params: Mapping[str, Any],
 
 # --- dispatch arms: each returns the (lhs, rhs) Sides ----------------------
 
-def _arm_main(params, policy, spec):
+def _arm_main(params, eps):
     sp = _series_params(params)
-    return (bilateral.main_series(sp, policy),
-            quadrature.main_integral(sp, spec))
+    return (bilateral.main_series(sp, eps),
+            quadrature.main_integral(sp, eps))
 
 
-def _arm_symmetric(params, policy, spec):
+def _arm_symmetric(params, eps):
     sp = _series_params(params)
-    return (bilateral.symmetric_series(sp, policy),
-            quadrature.symmetric_integral(sp, spec))
+    return (bilateral.symmetric_series(sp, eps),
+            quadrature.symmetric_integral(sp, eps))
 
 
-def _arm_qbinomial(params, policy, spec):
+def _arm_qbinomial(params, eps):
     a, b, z = _required(params, "a", "b", "z")
     qp = _binomial_qparams(params)
     p = qp.p
@@ -264,20 +262,20 @@ def _arm_qbinomial(params, policy, spec):
     # so the identity is the symmetric form at mapped arguments.
     sp = SeriesParams(qp=qp, a=p ** (a - b + 1.0), b=p ** (b + 1.0), z=z)
     inv_c = 1.0 / _binomial_normalizer(a, p)
-    return (bilateral.symmetric_series(sp, policy).scaled(inv_c),
-            quadrature.symmetric_integral(sp, spec).scaled(inv_c))
+    return (bilateral.symmetric_series(sp, eps).scaled(inv_c),
+            quadrature.symmetric_integral(sp, eps).scaled(inv_c))
 
 
-def _arm_osler(params, policy, spec):
+def _arm_osler(params, eps):
     a, alpha = _required(params, "a", "alpha")
     op = OslerParams(a=a, b=params.get("b", 0.0), alpha=alpha,
                      theta=params.get("theta", 0.0))
     v = cmath.exp(1j * op.theta)
-    return (classical.osler_sum(op, policy),
+    return (classical.osler_sum(op, eps),
             Side((1.0 / op.alpha) * (1.0 + v) ** op.a, "closed-form"))
 
 
-def _arm_classical_sum_int(params, policy, spec):
+def _arm_classical_sum_int(params, eps):
     a, alpha = _required(params, "a", "alpha")
     l = _integer(params, "l")
     if a <= 0.0:
@@ -286,50 +284,50 @@ def _arm_classical_sum_int(params, policy, spec):
         raise InvalidParams(f"need l >= 1, got {l}")
     if not 0.0 < alpha <= 2.0 / l:
         raise InvalidParams(f"need 0 < alpha <= 2/l = {2.0 / l}, got {alpha}")
-    return (classical.classical_sum(a, alpha, l, policy),
-            classical.classical_integral(a, alpha, l, policy))
+    return (classical.classical_sum(a, alpha, l, eps),
+            classical.classical_integral(a, alpha, l, eps))
 
 
-def _arm_appell_lerch(params, policy, spec):
+def _arm_appell_lerch(params, eps):
     a, q = map(complex, _required(params, "a", "q"))
     qp = QParams(p=q * q, q=q)
     sp = SeriesParams(qp=qp, a=q * q / a, b=a * q * q, z=1.0)
-    return (bilateral.main_series(sp, policy),
-            bilateral.appell_lerch_rhs(a, q, policy))
+    return (bilateral.main_series(sp, eps),
+            bilateral.appell_lerch_rhs(a, q, eps))
 
 
-def _arm_invariance(params, policy, spec):
+def _arm_invariance(params, eps):
     sp = _series_params(params)
     c = complex(params.get("c", 1.3 + 0.4j))
     if c == 0:
         raise InvalidParams("move factor c must be nonzero")
     moved = replace(sp, a=sp.a / c, b=sp.b * c, z=sp.z * c)
-    return (bilateral.symmetric_series(sp, policy),
-            bilateral.symmetric_series(moved, policy))
+    return (bilateral.symmetric_series(sp, eps),
+            bilateral.symmetric_series(moved, eps))
 
 
-def _arm_fourier(params, policy, spec):
+def _arm_fourier(params, eps):
     y = float(_required(params, "y")[0])
     sp = _series_params(params, z_default=1.0)
-    return (quadrature.fourier_integral(sp, y, spec),
-            bilateral.fourier_series_side(sp, y, policy))
+    return (quadrature.fourier_integral(sp, y, eps),
+            bilateral.fourier_series_side(sp, y, eps))
 
 
-def _arm_weighted(params, policy, spec):
+def _arm_weighted(params, eps):
     m = _integer(params, "m")
     sp = _series_params(params, z_default=1.0)
-    return (bilateral.weighted_series(sp, m, policy),
-            quadrature.weighted_integral(sp, m, spec))
+    return (bilateral.weighted_series(sp, m, eps),
+            quadrature.weighted_integral(sp, m, eps))
 
 
-def _arm_bailey(params, policy, spec):
+def _arm_bailey(params, eps):
     a1, a2, b1, b2, z = _required(params, "a1", "a2", "b1", "b2", "z")
     bp = BaileyParams(qp=_qparams(params), a1=a1, a2=a2, b1=b1, b2=b2, z=z)
-    return (bilateral.bailey_series(bp, "left", policy),
-            bilateral.bailey_series(bp, "right", policy))
+    return (bilateral.bailey_series(bp, "left", eps),
+            bilateral.bailey_series(bp, "right", eps))
 
 
-def _arm_bailey_binomial(params, policy, spec):
+def _arm_bailey_binomial(params, eps):
     qp = _binomial_qparams(params)
     p = qp.p
     a1, b1, a2, b2 = _required(params, "a1", "b1", "a2", "b2")
@@ -339,8 +337,8 @@ def _arm_bailey_binomial(params, policy, spec):
     bp = BaileyParams(qp=qp, a1=p ** (a1 - b1 + 1.0), a2=p ** (a2 - b2 + 1.0),
                       b1=p ** (b1 + 1.0), b2=p ** (b2 + 1.0), z=p ** theta)
     inv_c = 1.0 / (_binomial_normalizer(a1, p) * _binomial_normalizer(a2, p))
-    return (bilateral.bailey_series(bp, "left", policy).scaled(inv_c),
-            bilateral.bailey_series(bp, "right", policy).scaled(inv_c))
+    return (bilateral.bailey_series(bp, "left", eps).scaled(inv_c),
+            bilateral.bailey_series(bp, "right", eps).scaled(inv_c))
 
 
 def _multibasic_params(params: Mapping[str, Any]) -> MultibasicParams:
@@ -359,47 +357,47 @@ def _multibasic_params(params: Mapping[str, Any]) -> MultibasicParams:
     return MultibasicParams.from_alpha_sum(factors, alpha_sum, z)
 
 
-def _arm_multibasic(params, policy, spec):
+def _arm_multibasic(params, eps):
     mp = _multibasic_params(params)
-    return (bilateral.multibasic_series(mp, policy),
-            quadrature.multibasic_integral(mp, spec))
+    return (bilateral.multibasic_series(mp, eps),
+            quadrature.multibasic_integral(mp, eps))
 
 
-def _arm_functional_eq1(params, policy, spec):
+def _arm_functional_eq1(params, eps):
     sp = _series_params(params)
     p, q = sp.qp.p, sp.qp.q
-    t1 = bilateral.main_series(replace(sp, b=sp.b * p), policy)
-    t2 = bilateral.main_series(replace(sp, b=sp.b * p, z=sp.z * q), policy)
-    return bilateral.main_series(sp, policy), t1 + t2.scaled(-sp.b)
+    t1 = bilateral.main_series(replace(sp, b=sp.b * p), eps)
+    t2 = bilateral.main_series(replace(sp, b=sp.b * p, z=sp.z * q), eps)
+    return bilateral.main_series(sp, eps), t1 + t2.scaled(-sp.b)
 
 
-def _arm_functional_eq2(params, policy, spec):
+def _arm_functional_eq2(params, eps):
     sp = _series_params(params)
     p, q = sp.qp.p, sp.qp.q
-    t1 = bilateral.main_series(replace(sp, a=sp.a * p), policy)
-    t2 = bilateral.main_series(replace(sp, a=sp.a * p, z=sp.z / q), policy)
-    return bilateral.main_series(sp, policy), t1 + t2.scaled(-sp.a)
+    t1 = bilateral.main_series(replace(sp, a=sp.a * p), eps)
+    t2 = bilateral.main_series(replace(sp, a=sp.a * p, z=sp.z / q), eps)
+    return bilateral.main_series(sp, eps), t1 + t2.scaled(-sp.a)
 
 
-def _arm_base_integral(params, policy, spec):
+def _arm_base_integral(params, eps):
     (q,) = _required(params, "q")
     rhs = qpoch_inf(q, q) * math.log(1.0 / float(abs(q)))
-    return quadrature.base_integral(q, spec), Side(rhs, "product")
+    return quadrature.base_integral(q, eps), Side(rhs, "product")
 
 
-def _arm_triple_product(params, policy, spec):
+def _arm_triple_product(params, eps):
     z, q = map(complex, _required(params, "z", "q"))
     term = lambda n: np.power(z, n) * np.power(q, n * (n - 1) // 2)
     return (Side(theta_product(z, q), "product"),
-            _sum_pairs(term, _gaussian_decay(q, 0.0, z=z), policy))
+            _sum_pairs(term, _gaussian_decay(q, 0.0, z=z), eps))
 
 
-def _arm_poisson(params, policy, spec):
+def _arm_poisson(params, eps):
     m = _integer(params, "m", 1)
     if m == 0:
         raise InvalidParams("m must be a nonzero integer")
     sp = _series_params(params, z_default=1.0)
-    return (quadrature.fourier_integral(sp, 2.0 * math.pi * m, spec),
+    return (quadrature.fourier_integral(sp, 2.0 * math.pi * m, eps),
             Side(0.0, "closed-form"))
 
 

@@ -6,13 +6,14 @@ precision: it keeps the first N factors, where the log-tail bound
 |a q^N| < 1/2, which the bound needs.  A product that would need more than
 PRODUCT_MAX_FACTORS factors raises NoConvergence.  No caller chooses either
 value.  _vanishing_factor alone decides whether a factor 1 - a q^m is zero.
+Sums and integrals take one precision eps, checked by _check_eps; a sum may
+use at most SERIES_MAX_TERMS terms.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -35,31 +36,14 @@ POLE_TOL = 1e-13
 PRODUCT_EPS = 1e-16
 PRODUCT_MAX_FACTORS = 2_000_000
 
-MAX_TERMS_ENV = "QSINC_MAX_TERMS"
+# Term budget of every bilateral sum.
+SERIES_MAX_TERMS = 1_000_000
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Target tail bound and term budget for series truncation; products
-    have their own fixed precision (PRODUCT_EPS)."""
-
-    eps: float = 1e-12
-    max_terms: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps < 1.0:
-            raise InvalidParams(f"eps must be in (0, 1), got {self.eps}")
-        if self.max_terms < 8:
-            raise InvalidParams(f"max_terms must be >= 8, got {self.max_terms}")
-
-
-def default_policy(eps: float = 1e-12) -> TruncationPolicy:
-    """Default policy; QSINC_MAX_TERMS overrides the series term budget."""
-    max_terms = 1_000_000
-    env = os.environ.get(MAX_TERMS_ENV)
-    if env is not None:
-        max_terms = int(env)
-    return TruncationPolicy(eps=eps, max_terms=max_terms)
+def _check_eps(eps: float) -> None:
+    """Reject a target precision outside (0, 1), nan included."""
+    if not 0.0 < eps < 1.0:
+        raise InvalidParams(f"eps must be in (0, 1), got {eps}")
 
 
 SIDE_METHODS = ("series", "doubling", "trapezoid", "gauss-legendre",

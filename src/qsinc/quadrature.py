@@ -14,8 +14,7 @@ per unit, and the error estimate is the difference of the last two
 refinement levels.  Every node is sampled once: the first level's two
 outermost samples certify that the truncation is negligible.  Each level is
 sampled in chunks of _CHUNK nodes, so the node-by-factor matrices of the
-products stay small, and one integral may use at most
-QuadratureSpec.max_nodes nodes.
+products stay small, and one integral may use at most MAX_NODES nodes.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .qcore import (
     MultibasicParams,
     SeriesParams,
     Side,
+    _check_eps,
     _cpow,
     _vanishing_factor,
     qpoch_inf,
@@ -55,28 +55,9 @@ _RADIUS_SAFETY = 1.25
 # vectorized product, however large the level.
 _CHUNK = 512
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Refinement controls; the decay model sets the window.
-
-    The first level has nodes_per_unit nodes per unit (at least 2, so the
-    spacing is at most 1/2); each refinement halves the spacing until two
-    levels agree to eps.  max_nodes caps the nodes of one integral: a level
-    that would exceed it raises QuadratureFailure instead of being sampled.
-    """
-
-    nodes_per_unit: int = 2
-    max_nodes: int = 2 ** 18
-    eps: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.nodes_per_unit < 2:
-            raise InvalidParams("nodes_per_unit must be >= 2")
-        if self.max_nodes < 1:
-            raise InvalidParams("max_nodes must be positive")
-        if self.eps <= 0.0:
-            raise InvalidParams("eps must be positive")
+# Node budget of one integral: a level that would exceed it raises
+# QuadratureFailure instead of being sampled.
+MAX_NODES = 2 ** 18
 
 
 def _gaussian_decay(q: complex, alpha: float, a: complex = 0.0,
@@ -104,18 +85,23 @@ def _decay_radius(decay: tuple[float, float], eps: float) -> float:
 
 
 def integrate_gaussian_decay(integrand, decay: tuple[float, float],
-                             spec: QuadratureSpec) -> Side:
+                             eps: float, nodes_per_unit: int = 2) -> Side:
     """Integrate f over R given the decay model |f| = O(r^|x| e^(-g x^2)).
 
     integrand must accept a numpy array of real nodes and return complex
     values; it is called on at most _CHUNK nodes at a time.  decay = (g, r)
-    with g > 0 in natural-log units.  No node is an integer, so the integral
-    never samples the series' lattice.  Every sample enters the value, so
-    the first non-finite one raises QuadratureFailure.  So does a first
-    level whose outermost samples exceed eps/10 (the window does not
-    contain the integrand: the decay model is too fast), and a level that
-    would take the integral past spec.max_nodes.
+    with g > 0 in natural-log units.  The first level has nodes_per_unit
+    nodes per unit (at least 2); each refinement halves the spacing until
+    two levels agree to eps.  No node is an integer, so the integral never
+    samples the series' lattice.  Every sample enters the value, so the
+    first non-finite one raises QuadratureFailure.  So does a first level
+    whose outermost samples exceed eps/10 (the window does not contain the
+    integrand: the decay model is too fast), and a level that would take
+    the integral past MAX_NODES.
     """
+    _check_eps(eps)
+    if nodes_per_unit < 2:
+        raise InvalidParams("nodes_per_unit must be >= 2")
     g, r = decay
     if g <= 0.0:
         raise InvalidDecay(f"Gaussian rate must be positive, got {g}")
@@ -132,26 +118,26 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
             out[lo:lo + _CHUNK] = v
         return out
 
-    z = _RADIUS_SAFETY * _decay_radius(decay, spec.eps / 10.0)
+    z = _RADIUS_SAFETY * _decay_radius(decay, eps / 10.0)
     # Nodes h (k + off/3), k in [-npts, npts]; midpoints turn offset 1 into 2
     # and 2 into 1 at half the spacing.
-    h = 1.0 / spec.nodes_per_unit
+    h = 1.0 / nodes_per_unit
     off = 1
     npts = math.ceil(z / h)
     xs = h * (np.arange(-npts, npts + 1) + off / 3)
     total, nodes = 0j, 0
     value = prev = None
     for level in itertools.count():
-        if nodes + xs.size > spec.max_nodes:
+        if nodes + xs.size > MAX_NODES:
             last = ("no estimate yet" if prev is None else
                     f"last estimate {value:.17g} changed by "
                     f"{abs(value - prev):.2e}")
             raise QuadratureFailure(
                 f"level {level} needs {nodes + xs.size} nodes, above "
-                f"max_nodes={spec.max_nodes}; {last}")
+                f"max_nodes={MAX_NODES}; {last}")
         v = sample(xs)
         edge = max(abs(v[0]), abs(v[-1]))
-        if level == 0 and edge > spec.eps / 10.0:  # truncation certificate
+        if level == 0 and edge > eps / 10.0:  # truncation certificate
             raise QuadratureFailure(
                 f"window edge sample |f|={edge:.2e} > eps/10 on the window "
                 f"|x| <= {z:.6g}; the decay model is too fast")
@@ -160,7 +146,7 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
         prev, value = value, h * total
         if prev is not None:
             err = abs(value - prev)
-            if err <= spec.eps * max(1.0, abs(value)):
+            if err <= eps * max(1.0, abs(value)):
                 return Side(value, "trapezoid", nodes_used=nodes,
                             half_width_used=z, refinements_used=level - 1,
                             error_estimate=err)
@@ -297,7 +283,7 @@ def _multibasic_decay(params: MultibasicParams) -> tuple[float, float]:
     return _gaussian_decay(params.q, params.alpha_sum, z=params.z)
 
 
-def base_integral(q: complex, spec: QuadratureSpec) -> Side:
+def base_integral(q: complex, eps: float) -> Side:
     """int_0^inf dt / (t (-t, -q/t; q)_inf), evaluated as ln(1/q) times the
     zeta-integral of 1 / (-q^zeta, -q^(1-zeta); q)_inf; q real in (0, 1)."""
     qc = complex(q)
@@ -306,10 +292,10 @@ def base_integral(q: complex, spec: QuadratureSpec) -> Side:
     scale = -cmath.log(qc)  # ln(1/q)
     den = _theta_denominator(1.0, qc)
     return integrate_gaussian_decay(lambda x: scale / den(x),
-                                    _gaussian_decay(qc, 0.0), spec)
+                                    _gaussian_decay(qc, 0.0), eps)
 
 
-def main_integral(params: SeriesParams, spec: QuadratureSpec) -> Side:
+def main_integral(params: SeriesParams, eps: float) -> Side:
     """Integral side of the main bilateral identity, prefactor included.
 
     (-z, -q/z; q)_inf int_R (b q^z/z, a z q^-z; p)_inf /
@@ -324,43 +310,41 @@ def main_integral(params: SeriesParams, spec: QuadratureSpec) -> Side:
     f = _symmetric_integrand(replace(params, a=params.a * z,
                                      b=params.b / z, z=1.0))
     return integrate_gaussian_decay(f, _symmetric_decay(params),
-                                    spec).scaled(pref)
+                                    eps).scaled(pref)
 
 
-def symmetric_integral(params: SeriesParams,
-                       spec: QuadratureSpec) -> Side:
+def symmetric_integral(params: SeriesParams, eps: float) -> Side:
     """Integral side of the symmetric sum-equals-integral identity."""
     _check_denominator(params.z, params.qp.q)
     _check_line_pole(params.z, params.qp.q)
     return integrate_gaussian_decay(_symmetric_integrand(params),
-                                    _symmetric_decay(params), spec)
+                                    _symmetric_decay(params), eps)
 
 
-def fourier_integral(params: SeriesParams, y: float,
-                     spec: QuadratureSpec) -> Side:
-    """Fourier transform int_R g(x) e^(ixy) dx of the z=1 symmetric integrand."""
+def fourier_integral(params: SeriesParams, y: float, eps: float) -> Side:
+    """Fourier transform int_R g(x) e^(ixy) dx of the z=1 symmetric integrand.
+
+    The first level takes 2 nodes per period of e^(ixy), and at least 2 per
+    unit.
+    """
     if params.z != 1:
         raise InvalidParams("fourier_integral is defined at z = 1")
-    density = int(math.ceil(spec.nodes_per_unit
-                            * max(1.0, abs(y) / (2.0 * math.pi))))
-    spec = replace(spec, nodes_per_unit=density)
+    density = int(math.ceil(2 * max(1.0, abs(y) / (2.0 * math.pi))))
     return integrate_gaussian_decay(_fourier_integrand(params, y),
-                                    _symmetric_decay(params), spec)
+                                    _symmetric_decay(params), eps, density)
 
 
-def weighted_integral(params: SeriesParams, m: int,
-                      spec: QuadratureSpec) -> Side:
+def weighted_integral(params: SeriesParams, m: int, eps: float) -> Side:
     """int_R g(x) q^(mx) dx for the z=1 symmetric integrand, m integer."""
     if params.z != 1:
         raise InvalidParams("weighted_integral is defined at z = 1")
     return integrate_gaussian_decay(_weighted_integrand(params, m),
-                                    _weighted_decay(params, m), spec)
+                                    _weighted_decay(params, m), eps)
 
 
-def multibasic_integral(params: MultibasicParams,
-                        spec: QuadratureSpec) -> Side:
+def multibasic_integral(params: MultibasicParams, eps: float) -> Side:
     """Integral side of the multibasic q-binomial identity."""
     _check_denominator(params.z, params.q)
     _check_line_pole(params.z, params.q)
     return integrate_gaussian_decay(_multibasic_integrand(params),
-                                    _multibasic_decay(params), spec)
+                                    _multibasic_decay(params), eps)

@@ -3,19 +3,17 @@ from pathlib import Path
 
 import pytest
 
-from qsinc import QuadratureSpec, TruncationPolicy
-
 sys.path.insert(0, str(Path(__file__).parent))
 
 
 @pytest.fixture
-def policy() -> TruncationPolicy:
-    return TruncationPolicy(eps=1e-12)
+def series_eps() -> float:
+    return 1e-12
 
 
 @pytest.fixture
-def spec() -> QuadratureSpec:
-    return QuadratureSpec(eps=1e-11)
+def quad_eps() -> float:
+    return 1e-11
 
 
 def rel_err(lhs: complex, rhs: complex) -> float:

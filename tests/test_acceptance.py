@@ -9,7 +9,6 @@ from qsinc import (
     QParams,
     SeriesParams,
     cli,
-    default_policy,
     main_series,
     symmetric_series,
     verify,
@@ -75,7 +74,7 @@ def test_criterion_04_symmetric_and_qbinomial_forms():
 
 
 def test_criterion_05_functional_equations():
-    policy = default_policy(eps=1e-13)
+    eps = 1e-13
     rng = random.Random(20260824)
     worst = 0.0
     for _ in range(50):
@@ -88,7 +87,7 @@ def test_criterion_05_functional_equations():
         def f(aa, bb, zz):
             return main_series(
                 SeriesParams(qp=QParams(p=p, q=q), a=aa, b=bb, z=zz),
-                policy).value
+                eps).value
 
         base = f(a, b, z)
         worst = max(worst,
@@ -100,11 +99,11 @@ def test_criterion_05_functional_equations():
 
 
 def test_criterion_06_invariance():
-    policy = default_policy(eps=1e-13)
+    eps = 1e-13
     rng = random.Random(99)
     base = symmetric_series(
         SeriesParams(qp=QParams(p=0.3, q=0.6), a=0.2, b=0.3, z=1.0),
-        policy).value
+        eps).value
     worst = 0.0
     for _ in range(20):
         mag = rng.uniform(0.6, 1.5)
@@ -112,7 +111,7 @@ def test_criterion_06_invariance():
         c = mag * complex(math.cos(ang), math.sin(ang))
         moved = symmetric_series(
             SeriesParams(qp=QParams(p=0.3, q=0.6), a=0.2 / c, b=0.3 * c,
-                         z=c), policy).value
+                         z=c), eps).value
         worst = max(worst, rel_err(base, moved))
     _record(6, "invariance in (b/z, az) (20 z-moves)", worst <= 1e-9,
             f"max rel_err {worst:.2e}")

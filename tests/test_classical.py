@@ -92,25 +92,25 @@ class TestOsler:
         (1.5, 0.0, 1.0, 1.0),
         (3.0, 0.5, 0.7, -0.8),
     ])
-    def test_matches_closed_form(self, a, b, alpha, theta, policy):
+    def test_matches_closed_form(self, a, b, alpha, theta, series_eps):
         value = osler_sum(OslerParams(a=a, b=b, alpha=alpha, theta=theta),
-                          policy).value
+                          series_eps).value
         closed = (1.0 / alpha) * (1.0 + cmath.exp(1j * theta)) ** a
         assert rel_err(value, closed) < 1e-9
 
-    def test_requires_positive_a(self, policy):
+    def test_requires_positive_a(self, series_eps):
         with pytest.raises(InvalidParams):
-            osler_sum(OslerParams(a=-0.5, b=0, alpha=0.5, theta=0), policy)
+            osler_sum(OslerParams(a=-0.5, b=0, alpha=0.5, theta=0), series_eps)
 
-    def test_theta_window(self, policy):
+    def test_theta_window(self, series_eps):
         with pytest.raises(InvalidParams):
-            osler_sum(OslerParams(a=2, b=0, alpha=0.4, theta=1.5), policy)
+            osler_sum(OslerParams(a=2, b=0, alpha=0.4, theta=1.5), series_eps)
 
 
 class TestClassicalSumInt:
-    def test_integer_order_sum_is_exact(self, policy):
+    def test_integer_order_sum_is_exact(self, series_eps):
         # binom(2, n) over integer n: 1 + 2^2 + 1 at l = 2
-        value = classical_sum(2.0, 1.0, 2, policy).value
+        value = classical_sum(2.0, 1.0, 2, series_eps).value
         assert value == pytest.approx(6.0, rel=1e-12)
 
     @pytest.mark.parametrize("a,alpha,l", [
@@ -119,25 +119,25 @@ class TestClassicalSumInt:
         (2.5, 0.5, 2),
         (2.0, 0.5, 4),
     ])
-    def test_sum_equals_integral(self, a, alpha, l, policy):
-        s = classical_sum(a, alpha, l, policy).value
-        i = classical_integral(a, alpha, l, policy).value
+    def test_sum_equals_integral(self, a, alpha, l, series_eps):
+        s = classical_sum(a, alpha, l, series_eps).value
+        i = classical_integral(a, alpha, l, series_eps).value
         assert rel_err(s, i) < 1e-6
 
-    def test_report_helper(self, policy):
+    def test_report_helper(self, series_eps):
         report = verify(IdentityId.ClassicalSumInt,
-                        {"a": 2.0, "alpha": 1.0, "l": 2}, policy=policy)
+                        {"a": 2.0, "alpha": 1.0, "l": 2}, eps=series_eps)
         assert report.passed
         assert report.params["l"] == 2
         assert "tail_estimate" in report.lhs_diag
 
-    def test_hypothesis_guards(self, policy):
+    def test_hypothesis_guards(self, series_eps):
         with pytest.raises(InvalidParams):
             verify(IdentityId.ClassicalSumInt,
-                   {"a": -1.0, "alpha": 1.0, "l": 2}, policy=policy)
+                   {"a": -1.0, "alpha": 1.0, "l": 2}, eps=series_eps)
         with pytest.raises(InvalidParams):
             verify(IdentityId.ClassicalSumInt,
-                   {"a": 2.0, "alpha": 1.5, "l": 2}, policy=policy)
+                   {"a": 2.0, "alpha": 1.5, "l": 2}, eps=series_eps)
         with pytest.raises(InvalidParams):
             verify(IdentityId.ClassicalSumInt,
-                   {"a": 2.0, "alpha": 1.0, "l": 0}, policy=policy)
+                   {"a": 2.0, "alpha": 1.0, "l": 0}, eps=series_eps)

@@ -74,6 +74,27 @@ class TestVerifyCommand:
                          "1")
         assert code == 64
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-8"])
+    def test_bad_tol_usage_error(self, capsys, tol):
+        # nan used to exit 2 through the derived eps; inf passed every point.
+        code, out, err = run(capsys, "verify", "--identity", "main",
+                             "--a", "0.2", "--b", "0.3", "--z", "1",
+                             "--q", "0.6", "--p", "0.3", f"--tol={tol}")
+        assert code == 64 and out == ""
+        assert "--tol must be positive and finite" in err
+
+    def test_text_format_shows_rule_and_sides(self, capsys):
+        code, out, _ = run(capsys, "verify", "--identity", "main",
+                           "--a", "0.2", "--b", "0.3", "--z", "1",
+                           "--q", "0.6", "--p", "0.3", "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert "  rule: abs" in lines
+        lhs = next(line for line in lines if line.startswith("  lhs: "))
+        rhs = next(line for line in lines if line.startswith("  rhs: "))
+        assert "method=series" in lhs and "terms_used=35" in lhs
+        assert "method=trapezoid" in rhs and "nodes_used=153" in rhs
+
     def test_complex_flag_syntax(self, capsys):
         code, out, _ = run(capsys, "verify", "--identity", "main",
                            "--a", "0.2", "--b", "0.3", "--z", "0.5+0.5i",
@@ -86,11 +107,11 @@ class TestVerifyCommand:
             code, out, _ = run(capsys, command, "--q", "0.5")
             assert code == 64 and out == ""
 
-    def test_inconclusive_exit_three(self, capsys, monkeypatch):
-        monkeypatch.setenv("QSINC_MAX_TERMS", "10")
-        code, out, _ = run(capsys, "verify", "--identity", "main",
-                           "--a", "0.2", "--b", "0.3", "--z", "1",
-                           "--q", "0.6", "--p", "0.3")
+    def test_inconclusive_exit_three(self, capsys):
+        # The series terms overflow at |n| = 25 (see the next test).
+        code, out, _ = run(capsys, "verify", "--identity", "weighted",
+                           "--a", ".8", "--b", "-.8", "--q", ".1",
+                           "--p", ".095", "--m", "-3")
         assert code == 3
         # A failed point has no sides; status and reason sit on top.
         diag = json.loads(out)["diagnostics"]
@@ -161,6 +182,13 @@ class TestSweepCommand:
         code, _, _ = run(capsys, "sweep", "--identity", "symmetric")
         assert code == 64
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_usage_error(self, capsys, threads):
+        # These silently ran one thread.
+        code, out, err = run(capsys, *self._FLAGS, f"--threads={threads}")
+        assert code == 64 and out == ""
+        assert "--threads must be >= 1" in err
+
     def test_rerun_byte_identical_across_threads(self, capsys):
         _, out1, _ = run(capsys, *self._FLAGS, "--threads", "1")
         _, out2, _ = run(capsys, *self._FLAGS, "--threads", "4")
@@ -230,12 +258,19 @@ class TestLimitCommand:
         assert code == 2 and out == ""
         assert "invalid parameters" in err
 
-    def test_inconclusive_ladder_exit_three(self, capsys, monkeypatch):
-        monkeypatch.setenv("QSINC_MAX_TERMS", "300")
+    def test_inconclusive_ladder_exit_three(self, capsys):
+        # Terms decay like |n|^-1.3: the 1e-10 rung runs out of terms.
         code, out, err = run(capsys, "limit", "--identity", "osler",
-                             "--a", "2", "--alpha", "0.5")
+                             "--a", "0.3", "--alpha", "0.5")
         assert code == 3 and out == ""
         assert "SlowConvergence" in err
+
+    def test_qgamma_complex_x_invalid(self, capsys):
+        # float(x) raised a TypeError traceback (exit 1).
+        code, out, err = run(capsys, "limit", "--identity", "qgamma",
+                             "--x", "1+1i")
+        assert code == 2 and out == ""
+        assert "x must be real" in err
 
     def test_unsupported_identity(self, capsys):
         code, _, _ = run(capsys, "limit", "--identity", "main")

@@ -12,8 +12,6 @@ from qsinc import (
     IdentityId,
     InvalidGrid,
     InvalidParams,
-    QuadratureSpec,
-    TruncationPolicy,
     make_report,
     sweep_points,
     verify,
@@ -114,9 +112,7 @@ class TestVerify:
         point = {"alpha_sum": 0.8, "z": 1.0}
         for j, (p, a, b) in enumerate(factors, 1):
             point.update({f"p{j}": p, f"a{j}": a, f"b{j}": b})
-        report = verify(IdentityId.Multibasic, point,
-                        policy=TruncationPolicy(eps=1e-15),
-                        spec=QuadratureSpec(eps=1e-13))
+        report = verify(IdentityId.Multibasic, point, eps=1e-15)
         expected = MULTIBASIC_SERIES[factors]
         assert report.passed
         assert abs(report.lhs - expected) < 1e-13 * abs(expected)
@@ -153,16 +149,28 @@ class TestVerify:
         assert tight.passed and loose.passed
         assert loose.tol > tight.tol
 
-    def test_inconclusive_on_convergence_failure(self, monkeypatch):
-        from qsinc.qcore import TruncationPolicy
-
-        report = verify(IdentityId.Main, _POINTS[IdentityId.Main],
-                        policy=TruncationPolicy(eps=1e-12, max_terms=10))
+    def test_inconclusive_on_convergence_failure(self):
+        # The weighted series terms overflow at |n| = 25.
+        report = verify(IdentityId.WeightedM, {"a": 0.8, "b": -0.8, "q": 0.1,
+                                               "p": 0.095, "m": -3})
         assert not report.passed
         assert report.lhs_diag["status"] == "inconclusive"
         assert report.lhs_diag["reason"].startswith("NoConvergence")
         assert report.rhs_diag == {}
         assert math.isinf(report.abs_err) and report.rule == "rel"
+
+    def test_eps_reaches_both_sides(self):
+        point = _POINTS[IdentityId.Main]
+        coarse = verify(IdentityId.Main, point, eps=1e-10)
+        fine = verify(IdentityId.Main, point, eps=1e-14)
+        assert coarse.passed and fine.passed
+        assert fine.lhs_diag["terms_used"] > coarse.lhs_diag["terms_used"]
+        assert fine.rhs_diag["nodes_used"] > coarse.rhs_diag["nodes_used"]
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, math.nan])
+    def test_eps_outside_unit_interval_rejected(self, eps):
+        with pytest.raises(InvalidParams, match="eps must be in"):
+            verify(IdentityId.Main, _POINTS[IdentityId.Main], eps=eps)
 
     def test_non_integral_m_and_l_rejected(self):
         # int() used to truncate them: m = 1.5 ran as m = 1, l = 2.7 as 2.

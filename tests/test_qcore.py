@@ -13,8 +13,6 @@ from qsinc import (
     PoleAtNonpositiveInteger,
     QParams,
     Side,
-    TruncationPolicy,
-    default_policy,
     qbinomial,
     qgamma,
     qpoch_finite,
@@ -22,7 +20,7 @@ from qsinc import (
     qpoch_inf_large,
     theta_product,
 )
-from qsinc.qcore import MAX_TERMS_ENV, _vanishing_factor, qpoch_inf_vec
+from qsinc.qcore import _check_eps, _vanishing_factor, qpoch_inf_vec
 
 from conftest import rel_err
 from oracles import QGAMMA, QPOCH_INF
@@ -145,18 +143,12 @@ class TestQParams:
         QParams(p=0.59, q=0.6, allow_extreme=True)
 
 
-class TestPolicy:
+class TestEps:
     def test_validation(self):
-        with pytest.raises(InvalidParams):
-            TruncationPolicy(eps=0.0)
-        with pytest.raises(InvalidParams):
-            TruncationPolicy(max_terms=2)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(MAX_TERMS_ENV, "4096")
-        assert default_policy().max_terms == 4096
-        monkeypatch.delenv(MAX_TERMS_ENV)
-        assert default_policy().max_terms == 1_000_000
+        for eps in (0.0, 1.0, -1e-12, math.inf, math.nan):
+            with pytest.raises(InvalidParams, match="eps must be in"):
+                _check_eps(eps)
+        _check_eps(1e-12)
 
 
 class TestQGamma:
