@@ -166,12 +166,22 @@ def _required(params: Mapping[str, Any], *names: str) -> tuple[Any, ...]:
     return tuple(params[name] for name in names)
 
 
+def _real(params: Mapping[str, Any], name: str, default: float | None = None,
+          lo: float = -math.inf, hi: float = math.inf) -> float:
+    """params[name] as a float in the open interval (lo, hi): a missing,
+    complex, nan or out-of-range value is rejected, not cast."""
+    value = params.get(name, default)
+    if value is None:
+        _required(params, name)
+    if not (isinstance(value, numbers.Real) and lo < value < hi):
+        raise InvalidParams(f"need real {lo:g} < {name} < {hi:g}, "
+                            f"got {value}")
+    return float(value)
+
+
 def _unit_real(params: Mapping[str, Any], name: str) -> float:
     """params[name], which must be a real number in (0, 1)."""
-    (value,) = _required(params, name)
-    if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
-        raise InvalidParams(f"need real 0 < {name} < 1, got {value}")
-    return float(value)
+    return _real(params, name, lo=0.0, hi=1.0)
 
 
 def _allow_extreme(params: Mapping[str, Any]) -> bool:
@@ -267,19 +277,17 @@ def _arm_qbinomial(params, eps):
 
 
 def _arm_osler(params, eps):
-    a, alpha = _required(params, "a", "alpha")
-    op = OslerParams(a=a, b=params.get("b", 0.0), alpha=alpha,
-                     theta=params.get("theta", 0.0))
+    op = OslerParams(a=_real(params, "a"), b=_real(params, "b", 0.0),
+                     alpha=_real(params, "alpha"),
+                     theta=_real(params, "theta", 0.0))
     v = cmath.exp(1j * op.theta)
     return (classical.osler_sum(op, eps),
             Side((1.0 / op.alpha) * (1.0 + v) ** op.a, "closed-form"))
 
 
 def _arm_classical_sum_int(params, eps):
-    a, alpha = _required(params, "a", "alpha")
+    a, alpha = _real(params, "a", lo=0.0), _real(params, "alpha")
     l = _integer(params, "l")
-    if a <= 0.0:
-        raise InvalidParams(f"need a > 0, got {a}")
     if l < 1:
         raise InvalidParams(f"need l >= 1, got {l}")
     if not 0.0 < alpha <= 2.0 / l:
@@ -307,7 +315,7 @@ def _arm_invariance(params, eps):
 
 
 def _arm_fourier(params, eps):
-    y = float(_required(params, "y")[0])
+    y = _real(params, "y")
     sp = _series_params(params, z_default=1.0)
     return (quadrature.fourier_integral(sp, y, eps),
             bilateral.fourier_series_side(sp, y, eps))
@@ -381,8 +389,8 @@ def _arm_functional_eq2(params, eps):
 
 def _arm_base_integral(params, eps):
     (q,) = _required(params, "q")
-    rhs = qpoch_inf(q, q) * math.log(1.0 / float(abs(q)))
-    return quadrature.base_integral(q, eps), Side(rhs, "product")
+    lhs = quadrature.base_integral(q, eps)  # checks q first
+    return lhs, Side(qpoch_inf(q, q) * math.log(1.0 / abs(q)), "product")
 
 
 def _arm_triple_product(params, eps):

@@ -46,8 +46,7 @@ def _check_eps(eps: float) -> None:
         raise InvalidParams(f"eps must be in (0, 1), got {eps}")
 
 
-SIDE_METHODS = ("series", "doubling", "trapezoid", "gauss-legendre",
-                "product", "closed-form")
+SIDE_METHODS = ("series", "doubling", "trapezoid", "product", "closed-form")
 
 
 @dataclass(frozen=True)

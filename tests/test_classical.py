@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qsinc import (
@@ -15,6 +16,7 @@ from qsinc import (
     InvalidParams,
     OslerParams,
     PoleAtNonpositiveInteger,
+    QuadratureFailure,
     binomial_profile,
     binomial_real,
     classical_integral,
@@ -25,6 +27,7 @@ from qsinc import (
 )
 
 import qsinc
+from qsinc import classical
 from conftest import rel_err
 
 
@@ -64,8 +67,6 @@ class TestBinomialReal:
             binomial_real(-2.0, -3.0)
 
     def test_profile_matches_scalar(self):
-        import numpy as np
-
         a = 2.5
         us = np.linspace(-6.3, 6.3, 41)
         profile = binomial_profile(a, us)
@@ -118,11 +119,66 @@ class TestClassicalSumInt:
         (2.0, 1.0, 2),
         (2.5, 0.5, 2),
         (2.0, 0.5, 4),
+        (0.2, 1 / 6, 3),
+        (0.5, 1.5, 1),
     ])
     def test_sum_equals_integral(self, a, alpha, l, series_eps):
         s = classical_sum(a, alpha, l, series_eps).value
         i = classical_integral(a, alpha, l, series_eps).value
         assert rel_err(s, i) < 1e-6
+
+    def test_integral_nodes_avoid_the_integers(self, monkeypatch,
+                                               series_eps):
+        # The two lattices (k + 1/3)/2 and their midpoints, scaled by alpha.
+        alpha, seen = 0.75, []
+
+        def recording(a, u):
+            seen.append(np.asarray(u) / alpha)
+            return binomial_profile(a, u)
+
+        monkeypatch.setattr(classical, "binomial_profile", recording)
+        side = classical_integral(2.0, alpha, 2, series_eps)
+        x = np.concatenate(seen)
+        assert (side.method, side.refinements_used) == ("trapezoid", 1)
+        assert side.nodes_used == x.size
+        frac = np.mod(x, 1.0)
+        offsets = np.array([1 / 6, 2 / 3, 5 / 12, 11 / 12])
+        assert np.abs(frac[:, None] - offsets).min(axis=1).max() < 1e-9
+
+    def test_refinement_check_fires(self, monkeypatch, series_eps):
+        # exp(-x^2) cos(4 pi x) aliases at spacing 1/2 with opposite signs
+        # on the two lattices (about -+0.89), and cancels in their mean.
+        alpha = 1.0
+
+        def aliased(a, u):
+            x = np.asarray(u) / alpha
+            return (binomial_profile(a, u)
+                    + np.exp(-x * x) * np.cos(4.0 * np.pi * x))
+
+        monkeypatch.setattr(classical, "binomial_profile", aliased)
+        with pytest.raises(QuadratureFailure, match="refinement"):
+            classical_integral(2.0, alpha, 1, series_eps)
+
+    @pytest.mark.parametrize("a,l,alpha,verdict", [
+        (0.7, 1, 1.0, "SlowConvergence"),
+        (0.5, 1, 1.5, "pass"),
+    ])
+    def test_bounded_memory(self, a, l, alpha, verdict):
+        # Under the benchmark worker's 512 MiB address-space cap both points
+        # escaped MemoryError from the former Gauss-Legendre ring loop.
+        src = str(Path(qsinc.__file__).resolve().parents[1])
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from qsinc import IdentityId, verify\n"
+            f"r = verify(IdentityId.ClassicalSumInt, "
+            f"{{'a': {a}, 'l': {l}, 'alpha': {alpha}}})\n"
+            "print('pass' if r.passed else r.lhs_diag['reason'])\n")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip().split(":")[0] == verdict
 
     def test_report_helper(self, series_eps):
         report = verify(IdentityId.ClassicalSumInt,

@@ -39,9 +39,23 @@ class TestVerifyCommand:
         ("fourier", "--a", ".1", "--b", ".2", "--q", ".5", "--p", ".2"),
         ("qbinomial", "--a", "2", "--b", "1", "--alpha", ".5",
          "--p", "0.3+0.1i", "--z", "1"),
-    ], ids=["missing-y", "complex-p"])
+        ("osler", "--a", "2", "--alpha", ".5", "--b", "0.5+1i"),
+        ("osler", "--a", "2+1i", "--alpha", ".5"),
+        ("osler", "--a", "2", "--alpha", ".5+1i"),
+        ("osler", "--a", "2", "--alpha", ".5", "--theta", ".1+1i"),
+        ("classical-sum-int", "--a", "2+1i", "--alpha", "1", "--l", "2"),
+        ("classical-sum-int", "--a", "2", "--alpha", "1+1i", "--l", "2"),
+        ("fourier", "--y", "1+1i", "--a", ".1", "--b", ".2", "--q", ".5",
+         "--p", ".2"),
+        ("base-integral", "--q", "0"),
+    ], ids=["missing-y", "complex-p", "osler-complex-b", "osler-complex-a",
+            "osler-complex-alpha", "osler-complex-theta",
+            "classical-complex-a", "classical-complex-alpha",
+            "fourier-complex-y", "base-q-zero"])
     def test_bad_parameter_exit_two(self, capsys, argv):
-        # These escaped as KeyError and TypeError tracebacks (exit 1).
+        # These escaped as KeyError, TypeError, OverflowError or
+        # ZeroDivisionError tracebacks (exit 1); osler-complex-b dropped the
+        # imaginary part of b and passed (exit 0).
         code, out, err = run(capsys, "verify", "--identity", *argv)
         assert code == 2
         assert out == ""
