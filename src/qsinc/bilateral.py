@@ -1,12 +1,13 @@
 """Bilateral series as windows of the integer lattice.
 
 Every sum here runs over all integers n with super-exponential term decay
-q^{(1-alpha) n^2 / 2} (or faster).  A term is a vectorized function of an
-integer array: identities with an integral twin use the twin's integrand from
-quadrature, the series-only ones (main, Bailey, Appell-Lerch) define theirs
-here.  _sum_pairs evaluates a window n in [-N, N] at once, finds the stop
-index from the decay radius and an empirical three-small-pairs rule, and sums
-the terms up to it exactly (fsum).
+q^{(1-alpha) n^2 / 2} (or faster).  A term model is a vectorized function of
+an integer array together with its decay (g, r): identities with an integral
+twin use the twin's model from quadrature, the product series (main, Bailey,
+the triple product) take theirs from _product_terms.  _sum_pairs evaluates
+a window n in [-N, N] at once, finds the stop index from the decay radius
+and an empirical three-small-pairs rule, and sums the terms up to it exactly
+(fsum).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .qcore import (
     SERIES_MAX_TERMS,
     BaileyParams,
     MultibasicParams,
-    QParams,
     SeriesParams,
     Side,
     _check_eps,
@@ -33,16 +33,11 @@ from .qcore import (
 )
 from .quadrature import (
     _check_denominator,
+    _decay,
     _decay_radius,
-    _fourier_integrand,
-    _gaussian_decay,
-    _multibasic_decay,
-    _multibasic_integrand,
+    _multibasic_model,
     _qpoch_pair,
-    _symmetric_decay,
-    _symmetric_integrand,
-    _weighted_decay,
-    _weighted_integrand,
+    _symmetric_model,
 )
 from .util import fsum_complex
 
@@ -56,11 +51,17 @@ def _sum_pairs(term: Callable[[np.ndarray], np.ndarray],
     n >= max(n_min, 4, decay radius for eps) where three consecutive pairs
     (n, -n) each have |t(n)| + |t(-n)| <= eps max(1, |partial sum through
     n|).  The window doubles until it holds that stop.  A non-finite term
-    before it, or a stop beyond SERIES_MAX_TERMS, raises NoConvergence.
+    before it, or a stop beyond SERIES_MAX_TERMS, raises NoConvergence; a
+    decay radius beyond it (or not finite) does so before any term is
+    evaluated.
     """
     _check_eps(eps)
-    n_min = max(n_min, math.ceil(_decay_radius(decay, eps)), 4)
+    radius = _decay_radius(decay, eps)
     n_max = (SERIES_MAX_TERMS - 1) // 2
+    if not max(radius, n_min) <= n_max:
+        raise NoConvergence(f"decay radius {radius:.6g} exceeds the window "
+                            f"of {SERIES_MAX_TERMS} terms")
+    n_min = max(n_min, math.ceil(radius), 4)
     half = n_min + 4
     while True:
         big = min(half, n_max)
@@ -89,58 +90,48 @@ def _sum_pairs(term: Callable[[np.ndarray], np.ndarray],
         half *= 2
 
 
-def _masked_terms(w: np.ndarray, n: np.ndarray,
-                  factor: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """w * factor(n), with factor evaluated only where w != 0: a weight that
-    underflows zeroes its term even where the factor overflows."""
-    out = np.zeros(n.shape, dtype=complex)
-    live = w != 0
-    out[live] = w[live] * factor(n[live])
-    return out
+def _product_terms(factors, q: complex, z: complex, k: int):
+    """(term, decay) of n -> z^n q^(k n(n-1)/2) prod_j (b_j q^n, a_j q^-n;
+    p_j)_inf for factors ((p_j, a_j, b_j), ...), none for the theta sum.
 
+    The products are evaluated only where the weight is nonzero: a weight
+    that underflows zeroes its term even where the products overflow.
+    """
+    q, z = complex(q), complex(z)
 
-def _product_terms(qp: QParams, pairs, z: complex, k: int):
-    """n -> z^n q^(k n(n-1)/2) prod_j (b_j q^n, a_j q^-n; p)_inf for
-    pairs = ((a_1, b_1), ...)."""
-    q, p, z = complex(qp.q), complex(qp.p), complex(z)
-
-    def factor(n: np.ndarray) -> np.ndarray:
-        qn = np.power(q, n)
-        v = 1.0
-        for a, b in pairs:
+    def term(n: np.ndarray) -> np.ndarray:
+        w = np.power(z, n) * np.power(q, k * (n * (n - 1) // 2))
+        live = w != 0
+        qn, v = np.power(q, n[live]), 1.0
+        for p, a, b in factors:
             v = v * _qpoch_pair(b * qn, a / qn, p)
-        return v
+        out = np.zeros(n.shape, dtype=complex)
+        out[live] = w[live] * v
+        return out
 
-    return lambda n: _masked_terms(
-        np.power(z, n) * np.power(q, k * (n * (n - 1) // 2)), n, factor)
-
-
-def _bailey_decay(q: complex, alpha: float, pairs,
-                  z: complex) -> tuple[float, float]:
-    """Decay of two-pair product terms under a q^(n(n-1)) weight."""
-    decays = [_gaussian_decay(q, alpha, a, b, z) for a, b in pairs]
-    return 2.0 * decays[0][0], max(r for _, r in decays)
+    lnq = cmath.log(q)
+    return term, _decay([(p, a, b, lnq) for p, a, b in factors], q, z, k)
 
 
 def main_series(params: SeriesParams, eps: float) -> Side:
     """Bilateral sum of (b q^n, a q^-n; p)_inf z^n q^(n(n-1)/2)."""
-    term = _product_terms(params.qp, ((params.a, params.b),), params.z, 1)
-    return _sum_pairs(term, _symmetric_decay(params), eps)
+    qp = params.qp
+    return _sum_pairs(*_product_terms(((qp.p, params.a, params.b),), qp.q,
+                                      params.z, 1), eps)
 
 
 def symmetric_series(params: SeriesParams, eps: float) -> Side:
     """Bilateral sum of (b q^n, a q^-n; p)_inf / (-z q^n, -q^(1-n)/z; q)_inf."""
     _check_denominator(params.z, params.qp.q)
-    return _sum_pairs(_symmetric_integrand(params), _symmetric_decay(params),
-                      eps)
+    return _sum_pairs(*_symmetric_model(params), eps)
 
 
 def weighted_series(params: SeriesParams, m: int, eps: float) -> Side:
     """Symmetric-form bilateral sum at z = 1 with weight q^(mn)."""
     if params.z != 1:
         raise InvalidParams("weighted_series is defined at z = 1")
-    return _sum_pairs(_weighted_integrand(params, m),
-                      _weighted_decay(params, m), eps)
+    mu = m * cmath.log(complex(params.qp.q))
+    return _sum_pairs(*_symmetric_model(params, mu), eps)
 
 
 def fourier_series_side(params: SeriesParams, y: float, eps: float) -> Side:
@@ -163,8 +154,7 @@ def fourier_series_side(params: SeriesParams, y: float, eps: float) -> Side:
              * qpoch_inf_large(complex(q) / eiy, q))
     pref /= (qpoch_inf(q, q) ** 2 * qpoch_inf_large(-eiy, q)
              * qpoch_inf_large(-complex(q) / eiy, q))
-    return _sum_pairs(_fourier_integrand(params, y), _symmetric_decay(params),
-                      eps).scaled(pref)
+    return _sum_pairs(*_symmetric_model(params, 1j * y), eps).scaled(pref)
 
 
 def bailey_series(params: BaileyParams, side: str, eps: float) -> Side:
@@ -172,16 +162,15 @@ def bailey_series(params: BaileyParams, side: str, eps: float) -> Side:
 
     side is "left" or "right"; the right side carries the z prefactor.
     """
-    qp, z = params.qp, params.z
+    p, q, z = params.qp.p, params.qp.q, params.z
     a1, a2, b1, b2 = params.a1, params.a2, params.b1, params.b2
-    decay = _bailey_decay(qp.q, qp.alpha, ((a1, b1), (a2, b2)), z)
     if side == "left":
-        term = _product_terms(qp, ((a1, b1), (a2, b2)), z, 2)
-        return _sum_pairs(term, decay, eps)
+        return _sum_pairs(*_product_terms(((p, a1, b1), (p, a2, b2)), q, z, 2),
+                          eps)
     if side != "right":
         raise InvalidParams(f"side must be 'left' or 'right', got {side!r}")
-    term = _product_terms(qp, ((a1 * z, b1 / z), (a2 * z, b2 / z)), 1.0 / z, 2)
-    return _sum_pairs(term, decay, eps).scaled(z)
+    mapped = ((p, a1 * z, b1 / z), (p, a2 * z, b2 / z))
+    return _sum_pairs(*_product_terms(mapped, q, 1.0 / z, 2), eps).scaled(z)
 
 
 def appell_lerch_rhs(a: complex, q: complex, eps: float) -> Side:
@@ -200,7 +189,7 @@ def appell_lerch_rhs(a: complex, q: complex, eps: float) -> Side:
     q = complex(q)
     q2 = q * q
     # A theta-type sum in base q^2: terms ~ (1/|a|)^n q^(n^2+n).
-    decay = _gaussian_decay(q2, 0.0, z=a)
+    decay = _decay((), q2, a)
 
     # A (near-)pole of 1 - a q^(2n+1) = 1 - (a q) (q^2)^n on the lattice.
     n_star = _vanishing_factor(a * q, q2)
@@ -239,5 +228,4 @@ def appell_lerch_rhs(a: complex, q: complex, eps: float) -> Side:
 def multibasic_series(params: MultibasicParams, eps: float) -> Side:
     """Bilateral sum of the multibasic q-binomial terms."""
     _check_denominator(params.z, params.q)
-    return _sum_pairs(_multibasic_integrand(params), _multibasic_decay(params),
-                      eps)
+    return _sum_pairs(*_multibasic_model(params), eps)

@@ -19,10 +19,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Mapping
 
-import numpy as np
-
 from . import bilateral, classical, quadrature
-from .bilateral import _sum_pairs
+from .bilateral import _product_terms, _sum_pairs
 from .classical import OslerParams
 from .errors import InvalidGrid, InvalidParams, QsincError
 from .qcore import (
@@ -34,7 +32,7 @@ from .qcore import (
     qpoch_inf,
     theta_product,
 )
-from .quadrature import _binomial_normalizer, _gaussian_decay
+from .quadrature import _binomial_normalizer
 
 
 class IdentityId(Enum):
@@ -299,9 +297,9 @@ def _arm_classical_sum_int(params, eps):
 def _arm_appell_lerch(params, eps):
     a, q = map(complex, _required(params, "a", "q"))
     qp = QParams(p=q * q, q=q)
+    rhs = bilateral.appell_lerch_rhs(a, q, eps)  # rejects a = 0 before q^2/a
     sp = SeriesParams(qp=qp, a=q * q / a, b=a * q * q, z=1.0)
-    return (bilateral.main_series(sp, eps),
-            bilateral.appell_lerch_rhs(a, q, eps))
+    return bilateral.main_series(sp, eps), rhs
 
 
 def _arm_invariance(params, eps):
@@ -361,8 +359,8 @@ def _multibasic_params(params: Mapping[str, Any]) -> MultibasicParams:
     factors, z = tuple(groups), params.get("z", 1.0)
     if "q" in params:
         return MultibasicParams(factors=factors, q=params["q"], z=z)
-    (alpha_sum,) = _required(params, "alpha_sum")
-    return MultibasicParams.from_alpha_sum(factors, alpha_sum, z)
+    return MultibasicParams.from_alpha_sum(
+        factors, _unit_real(params, "alpha_sum"), z)
 
 
 def _arm_multibasic(params, eps):
@@ -395,9 +393,8 @@ def _arm_base_integral(params, eps):
 
 def _arm_triple_product(params, eps):
     z, q = map(complex, _required(params, "z", "q"))
-    term = lambda n: np.power(z, n) * np.power(q, n * (n - 1) // 2)
     return (Side(theta_product(z, q), "product"),
-            _sum_pairs(term, _gaussian_decay(q, 0.0, z=z), eps))
+            _sum_pairs(*_product_terms((), q, z, 1), eps))
 
 
 def _arm_poisson(params, eps):

@@ -3,18 +3,21 @@
 All dt/t integrals over (0, inf) are computed in log-substituted coordinates
 t = q^zeta, where the integrands become smooth with decay r^|zeta|
 e^(-g zeta^2).  The sum-equals-integral theorem says that the sum over Z is
-the trapezoid rule at h = 1 applied to the integrand of the integral over R,
-so each identity defines its integrand once, here.  The series side
-(bilateral) evaluates it on the integer nodes; the integral side evaluates it
-on the lattice h (k + 1/3), whose midpoint refinements alternate the offset
-between 1/3 and 2/3 and so never reach an integer: the two sides share code
-but no samples.  For such integrands the refined trapezoid rule on a
-truncated window converges spectrally, so the rule starts coarse, at 2 nodes
-per unit, and the error estimate is the difference of the last two
-refinement levels.  Every node is sampled once: the first level's two
-outermost samples certify that the truncation is negligible.  Each level is
-sampled in chunks of _CHUNK nodes, so the node-by-factor matrices of the
-products stay small, and one integral may use at most MAX_NODES nodes.
+the trapezoid rule at h = 1 applied to the integrand of the integral over R.
+So each identity family has one term model, built here: its integrand, from
+the one integrand routine _integrand, and its decay (g, r), from the one
+decay routine _decay, both read off the same factor list.  The series side
+(bilateral) evaluates the model on the integer nodes; the integral side
+evaluates it on the lattice h (k + 1/3), whose midpoint refinements
+alternate the offset between 1/3 and 2/3 and so never reach an integer: the
+two sides share code but no samples.  For such integrands the refined
+trapezoid rule on a truncated window converges spectrally, so the rule
+starts coarse, at 2 nodes per unit, and the error estimate is the difference
+of the last two refinement levels.  Every node is sampled once: the first
+level's two outermost samples certify that the truncation is negligible.
+Each level is sampled in chunks of _CHUNK nodes, so the node-by-factor
+matrices of the products stay small, and one integral may use at most
+MAX_NODES nodes: a level past that budget fails before its nodes are built.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .errors import (
     DomainError,
     InvalidDecay,
     InvalidParams,
+    PoleAtNonpositiveInteger,
     QuadratureFailure,
 )
 from .qcore import (
@@ -40,6 +44,7 @@ from .qcore import (
     Side,
     _check_eps,
     _cpow,
+    _has_zero_factor,
     _vanishing_factor,
     qpoch_inf,
     qpoch_inf_large,
@@ -58,22 +63,6 @@ _CHUNK = 512
 # Node budget of one integral: a level that would exceed it raises
 # QuadratureFailure instead of being sampled.
 MAX_NODES = 2 ** 18
-
-
-def _gaussian_decay(q: complex, alpha: float, a: complex = 0.0,
-                    b: complex = 0.0, z: complex = 1.0) -> tuple[float, float]:
-    """Decay (g, r) of (b q^x, a q^-x; p)_inf / (-z q^x, -q^(1-x)/z; q)_inf.
-
-    The numerator grows like |q|^(-alpha x^2 / 2) (alpha = ln|q| / ln|p|)
-    against the denominator's |q|^(-x^2 / 2); r bounds the linear-in-x growth
-    ratios of the tails, with floor 1/|q|.
-    """
-    aq = abs(q)
-    g = 0.5 * (1.0 - alpha) * math.log(1.0 / aq)
-    az = abs(z)
-    r_plus = az * (abs(a) ** alpha if a != 0 else 1.0) / aq
-    r_minus = (abs(b) ** alpha if b != 0 else 1.0) / az
-    return g, max(r_plus, r_minus, 1.0 / aq)
 
 
 def _decay_radius(decay: tuple[float, float], eps: float) -> float:
@@ -96,8 +85,9 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
     samples the series' lattice.  Every sample enters the value, so the
     first non-finite one raises QuadratureFailure.  So does a first level
     whose outermost samples exceed eps/10 (the window does not contain the
-    integrand: the decay model is too fast), and a level that would take
-    the integral past MAX_NODES.
+    integrand: the decay model is too fast), a window that is not finite,
+    and a level that would take the integral past MAX_NODES, before any of
+    its nodes is built.
     """
     _check_eps(eps)
     if nodes_per_unit < 2:
@@ -119,30 +109,35 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
         return out
 
     z = _RADIUS_SAFETY * _decay_radius(decay, eps / 10.0)
-    # Nodes h (k + off/3), k in [-npts, npts]; midpoints turn offset 1 into 2
-    # and 2 into 1 at half the spacing.
     h = 1.0 / nodes_per_unit
+    if not math.isfinite(z / h):
+        raise QuadratureFailure(
+            f"decay model (g, r) = ({g:.6g}, {r:.6g}) gives no finite window")
+    # A level's nodes are step (k + off/3 + mid), k0 <= k < k1: first
+    # h (k + 1/3), |k| <= npts, then the midpoints, which turn offset 1 into
+    # 2 and 2 into 1 at half the spacing.  Counted before they are built.
     off = 1
     npts = math.ceil(z / h)
-    xs = h * (np.arange(-npts, npts + 1) + off / 3)
+    grid = (h, -npts, npts + 1, off / 3, 0.0)
     total, nodes = 0j, 0
     value = prev = None
     for level in itertools.count():
-        if nodes + xs.size > MAX_NODES:
+        step, k0, k1, shift, mid = grid
+        if nodes + k1 - k0 > MAX_NODES:
             last = ("no estimate yet" if prev is None else
                     f"last estimate {value:.17g} changed by "
                     f"{abs(value - prev):.2e}")
             raise QuadratureFailure(
-                f"level {level} needs {nodes + xs.size} nodes, above "
+                f"level {level} needs {nodes + k1 - k0} nodes, above "
                 f"max_nodes={MAX_NODES}; {last}")
-        v = sample(xs)
+        v = sample(step * (np.arange(k0, k1) + shift + mid))
         edge = max(abs(v[0]), abs(v[-1]))
         if level == 0 and edge > eps / 10.0:  # truncation certificate
             raise QuadratureFailure(
                 f"window edge sample |f|={edge:.2e} > eps/10 on the window "
                 f"|x| <= {z:.6g}; the decay model is too fast")
         total += fsum_complex(v)
-        nodes += xs.size
+        nodes += v.size
         prev, value = value, h * total
         if prev is not None:
             err = abs(value - prev)
@@ -150,7 +145,7 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
                 return Side(value, "trapezoid", nodes_used=nodes,
                             half_width_used=z, refinements_used=level - 1,
                             error_estimate=err)
-        xs = h * (np.arange(-npts, npts) + off / 3 + 0.5)
+        grid = (h, -npts, npts, off / 3, 0.5)
         h /= 2.0
         npts *= 2
         off = 2 * off % 3
@@ -195,92 +190,98 @@ def _check_line_pole(z: complex, q: complex) -> None:
             f"denominator vanishes at x = {s:.17g} (mod 1) (z={z})")
 
 
-def _theta_denominator(z: complex, q: complex):
-    """x -> (-z q^x, -q^(1-x)/z; q)_inf."""
+def _integrand(factors, q: complex, z: complex, const: complex = 1.0,
+               mu: complex = 0.0):
+    """The integrand routine of every q-side with a theta denominator:
+
+    x -> const e^(mu x) prod_j (b_j e^(lam_j x), a_j e^(-lam_j x); p_j)_inf
+         / (-z q^x, -q^(1-x)/z; q)_inf
+
+    for factors ((p_j, a_j, b_j, lam_j), ...).  On the integers it gives the
+    series terms, on the integral's lattice its samples.
+    """
+    q, z = complex(q), complex(z)
     lnq = cmath.log(q)
 
-    def den(x: np.ndarray) -> np.ndarray:
-        zqx = z * np.exp(x * lnq)
-        return _qpoch_pair(-zqx, -q / zqx, q)
-
-    return den
-
-
-def _symmetric_integrand(params: SeriesParams):
-    """x -> (b q^x, a q^-x; p)_inf / (-z q^x, -q^(1-x)/z; q)_inf."""
-    qp = params.qp
-    qc, pc = complex(qp.q), complex(qp.p)
-    a, b = complex(params.a), complex(params.b)
-    lnq = cmath.log(qc)
-    den = _theta_denominator(complex(params.z), qc)
-
     def f(x: np.ndarray) -> np.ndarray:
-        qx = np.exp(x * lnq)
-        return _qpoch_pair(b * qx, a / qx, pc) / den(x)
+        v = const
+        for p, a, b, lam in factors:
+            e = np.exp(x * lam)
+            v = v * _qpoch_pair(b * e, a / e, p)
+        zqx = z * np.exp(x * lnq)
+        v = v / _qpoch_pair(-zqx, -q / zqx, q)
+        return v if mu == 0 else v * np.exp(mu * x)
 
     return f
 
 
-def _symmetric_decay(params: SeriesParams) -> tuple[float, float]:
-    qp = params.qp
-    return _gaussian_decay(qp.q, qp.alpha, params.a, params.b, params.z)
+def _decay(factors, q: complex, z: complex, k: int = 1,
+           mu: complex = 0.0) -> tuple[float, float]:
+    """The decay routine of every q-side: (g, r) with
+    |term(x)| = O(r^|x| e^(-g x^2)) for the factors of _integrand, the
+    weight e^(mu x), and the theta denominator (k = 1) or the integer weight
+    z^n q^(k n(n-1)/2) that it equals on the integers up to a constant.
+
+    The weight decays like e^(-k ln(1/|q|) x^2 / 2); a factor
+    (b e^(lam x), a e^(-lam x); p)_inf, with s = -Re lam and
+    alpha = s / ln(1/|p|), grows like e^(alpha s x^2 / 2).  The growth
+    ratios are |z| e^(Re mu) prod_j |a_j|^alpha_j / |q| as x -> +inf and
+    e^(-Re mu) prod_j |b_j|^alpha_j / |z| as x -> -inf (a zero coefficient
+    counts as 1), exact for one factor over the theta denominator; r is the
+    larger, at least 1/|q|, and inf if it overflows.
+    """
+    lnq, lnz = math.log(abs(q)), math.log(abs(z))
+    g = -0.5 * k * lnq
+    up, down = lnz - lnq + mu.real, -lnz - mu.real
+    for p, a, b, lam in factors:
+        s = -lam.real
+        alpha = s / -math.log(abs(p))
+        g -= 0.5 * alpha * s
+        up += alpha * math.log(abs(a)) if a != 0 else 0.0
+        down += alpha * math.log(abs(b)) if b != 0 else 0.0
+    try:
+        return g, math.exp(max(up, down, -lnq))
+    except OverflowError:
+        return g, math.inf
 
 
-def _weighted_integrand(params: SeriesParams, m: int):
-    """x -> symmetric integrand times q^(mx)."""
-    base = _symmetric_integrand(params)
-    lnq = cmath.log(complex(params.qp.q))
-    return lambda x: base(x) * np.exp(m * x * lnq)
-
-
-def _weighted_decay(params: SeriesParams, m: int) -> tuple[float, float]:
-    g, r = _symmetric_decay(params)
-    return g, r / abs(params.qp.q) ** abs(m)
-
-
-def _fourier_integrand(params: SeriesParams, y: float):
-    """x -> symmetric integrand times e^(ixy)."""
-    base = _symmetric_integrand(params)
-    return lambda x: base(x) * np.exp(1j * y * x)
+def _symmetric_model(params: SeriesParams, mu: complex = 0.0):
+    """(integrand, decay) of (b q^x, a q^-x; p)_inf e^(mu x)
+    / (-z q^x, -q^(1-x)/z; q)_inf."""
+    q = complex(params.qp.q)
+    factors = ((complex(params.qp.p), complex(params.a), complex(params.b),
+                cmath.log(q)),)
+    return (_integrand(factors, q, params.z, mu=mu),
+            _decay(factors, q, params.z, mu=mu))
 
 
 def _binomial_normalizer(a: float, p: complex) -> complex:
-    """(p, p^(a+1); p)_inf, the denominator of [a; u]_p as a product ratio."""
-    return qpoch_inf(p, p) * qpoch_inf(_cpow(p, a + 1.0), p)
+    """(p, p^(a+1); p)_inf, the denominator of [a; u]_p as a product ratio;
+    it vanishes at the Gamma_p(a+1) poles a = -1, -2, ...
+    (PoleAtNonpositiveInteger)."""
+    pa = _cpow(p, a + 1.0)
+    if _has_zero_factor(pa, p):
+        raise PoleAtNonpositiveInteger(f"Gamma_p(a+1) pole at a={a}")
+    return qpoch_inf(p, p) * qpoch_inf(pa, p)
 
 
-def _binomial_factor(a: float, b_off: float, alpha: float, p: complex):
-    """x -> [a; b_off + alpha x]_p as a ratio of infinite products."""
-    pc = complex(p)
-    lnp = cmath.log(pc)
-    const = _binomial_normalizer(a, pc)
-    e1, e2 = _cpow(pc, b_off + 1.0), _cpow(pc, a - b_off + 1.0)
+def _multibasic_model(params: MultibasicParams):
+    """(integrand, decay) of prod_j [a_j; b_j + alpha_j x]_{p_j}
+    / (-z q^x, -q^(1-x)/z; q)_inf.
 
-    def factor(x: np.ndarray) -> np.ndarray:
-        px = np.exp(alpha * x * lnp)
-        return _qpoch_pair(e1 * px, e2 / px, pc) / const
-
-    return factor
-
-
-def _multibasic_integrand(params: MultibasicParams):
-    """x -> prod_j [a_j; b_j + alpha_j x]_{p_j}
-    / (-z q^x, -q^(1-x)/z; q)_inf."""
-    factors = [_binomial_factor(a, b, alpha, p)
-               for (p, a, b), alpha in zip(params.factors, params.alphas)]
-    den = _theta_denominator(complex(params.z), complex(params.q))
-
-    def f(x: np.ndarray) -> np.ndarray:
-        v = factors[0](x)
-        for factor in factors[1:]:
-            v = v * factor(x)
-        return v / den(x)
-
-    return f
-
-
-def _multibasic_decay(params: MultibasicParams) -> tuple[float, float]:
-    return _gaussian_decay(params.q, params.alpha_sum, z=params.z)
+    [a; b + alpha x]_p = (p^(b+1) p^(alpha x), p^(a-b+1) p^(-alpha x); p)_inf
+    / (p, p^(a+1); p)_inf.  The decay model takes unit coefficients: it
+    ignores the sizes of p^(b+1) and p^(a-b+1).
+    """
+    factors, unit, const = [], [], 1.0
+    for (p, a, b), alpha in zip(params.factors, params.alphas):
+        pc = complex(p)
+        lam = alpha * cmath.log(pc)
+        factors.append((pc, _cpow(pc, a - b + 1.0), _cpow(pc, b + 1.0), lam))
+        unit.append((pc, 1.0, 1.0, lam))
+        const /= _binomial_normalizer(a, pc)
+    return (_integrand(factors, params.q, params.z, const),
+            _decay(unit, params.q, params.z))
 
 
 def base_integral(q: complex, eps: float) -> Side:
@@ -290,9 +291,8 @@ def base_integral(q: complex, eps: float) -> Side:
     if qc.imag != 0.0 or not 0.0 < qc.real < 1.0:
         raise InvalidParams(f"q must be real in (0, 1), got {q}")
     scale = -cmath.log(qc)  # ln(1/q)
-    den = _theta_denominator(1.0, qc)
-    return integrate_gaussian_decay(lambda x: scale / den(x),
-                                    _gaussian_decay(qc, 0.0), eps)
+    return integrate_gaussian_decay(_integrand((), qc, 1.0, scale),
+                                    _decay((), qc, 1.0), eps)
 
 
 def main_integral(params: SeriesParams, eps: float) -> Side:
@@ -304,12 +304,10 @@ def main_integral(params: SeriesParams, eps: float) -> Side:
     z = complex(params.z)
     if z.real <= 0.0:
         raise DomainError(f"Re z must be positive, got z={z}")
-    qp = params.qp
-    qc = complex(qp.q)
+    qc = complex(params.qp.q)
     pref = qpoch_inf_large(-z, qc) * qpoch_inf_large(-qc / z, qc)
-    f = _symmetric_integrand(replace(params, a=params.a * z,
-                                     b=params.b / z, z=1.0))
-    return integrate_gaussian_decay(f, _symmetric_decay(params),
+    mapped = replace(params, a=params.a * z, b=params.b / z, z=1.0)
+    return integrate_gaussian_decay(*_symmetric_model(mapped),
                                     eps).scaled(pref)
 
 
@@ -317,8 +315,7 @@ def symmetric_integral(params: SeriesParams, eps: float) -> Side:
     """Integral side of the symmetric sum-equals-integral identity."""
     _check_denominator(params.z, params.qp.q)
     _check_line_pole(params.z, params.qp.q)
-    return integrate_gaussian_decay(_symmetric_integrand(params),
-                                    _symmetric_decay(params), eps)
+    return integrate_gaussian_decay(*_symmetric_model(params), eps)
 
 
 def fourier_integral(params: SeriesParams, y: float, eps: float) -> Side:
@@ -330,21 +327,20 @@ def fourier_integral(params: SeriesParams, y: float, eps: float) -> Side:
     if params.z != 1:
         raise InvalidParams("fourier_integral is defined at z = 1")
     density = int(math.ceil(2 * max(1.0, abs(y) / (2.0 * math.pi))))
-    return integrate_gaussian_decay(_fourier_integrand(params, y),
-                                    _symmetric_decay(params), eps, density)
+    return integrate_gaussian_decay(*_symmetric_model(params, 1j * y), eps,
+                                    density)
 
 
 def weighted_integral(params: SeriesParams, m: int, eps: float) -> Side:
     """int_R g(x) q^(mx) dx for the z=1 symmetric integrand, m integer."""
     if params.z != 1:
         raise InvalidParams("weighted_integral is defined at z = 1")
-    return integrate_gaussian_decay(_weighted_integrand(params, m),
-                                    _weighted_decay(params, m), eps)
+    mu = m * cmath.log(complex(params.qp.q))
+    return integrate_gaussian_decay(*_symmetric_model(params, mu), eps)
 
 
 def multibasic_integral(params: MultibasicParams, eps: float) -> Side:
     """Integral side of the multibasic q-binomial identity."""
     _check_denominator(params.z, params.q)
     _check_line_pole(params.z, params.q)
-    return integrate_gaussian_decay(_multibasic_integrand(params),
-                                    _multibasic_decay(params), eps)
+    return integrate_gaussian_decay(*_multibasic_model(params), eps)

@@ -37,6 +37,8 @@ SYMMETRIC_SERIES = {
 # (a, b, q, p, m) -> q^(mn)-weighted symmetric sum
 WEIGHTED_SERIES = {
     (0.1, 0.2, 0.5, 0.2, 2): 0.1486370479155178756895,
+    (0.2, 0.15, 0.47, 0.35, -3): 0.4074998874436784678969,
+    (0.45, -0.42, 0.55, 0.47, -2): 0.07901423485433140538511,
 }
 
 # (a1, a2, b1, b2, z, q, p) -> left side of the four-product transformation

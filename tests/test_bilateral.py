@@ -58,6 +58,15 @@ class TestSumPairs:
         with pytest.raises(NoConvergence):
             _sum_pairs(self._gauss(lambda m: m == 7), (1.0, 1.0), 1e-12)
 
+    @pytest.mark.parametrize("decay", [(1e-12, 1.0), (1.0, math.inf)],
+                             ids=["radius-over-budget", "infinite-radius"])
+    def test_window_over_budget_fails_before_any_term(self, decay):
+        def term(n):
+            raise AssertionError("evaluated a window that is over budget")
+
+        with pytest.raises(NoConvergence, match="exceeds the window"):
+            _sum_pairs(term, decay, 1e-12)
+
 
 class TestMainSeries:
     @pytest.mark.parametrize("key", sorted(MAIN_SERIES, key=str))

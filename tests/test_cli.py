@@ -48,10 +48,14 @@ class TestVerifyCommand:
         ("fourier", "--y", "1+1i", "--a", ".1", "--b", ".2", "--q", ".5",
          "--p", ".2"),
         ("base-integral", "--q", "0"),
+        ("appell-lerch", "--a", "0", "--q", ".6"),
+        ("multibasic", "--p1", ".2", "--a1", "2", "--b1", "1", "--p2", ".3",
+         "--a2", "3", "--b2", "1", "--alpha-sum", "0.5+0.5i"),
     ], ids=["missing-y", "complex-p", "osler-complex-b", "osler-complex-a",
             "osler-complex-alpha", "osler-complex-theta",
             "classical-complex-a", "classical-complex-alpha",
-            "fourier-complex-y", "base-q-zero"])
+            "fourier-complex-y", "base-q-zero", "appell-lerch-a-zero",
+            "multibasic-complex-alpha-sum"])
     def test_bad_parameter_exit_two(self, capsys, argv):
         # These escaped as KeyError, TypeError, OverflowError or
         # ZeroDivisionError tracebacks (exit 1); osler-complex-b dropped the
@@ -120,6 +124,19 @@ class TestVerifyCommand:
         for command in ("verify", "sweep", "limit"):
             code, out, _ = run(capsys, command, "--q", "0.5")
             assert code == 64 and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("qbinomial", "--a", "-1", "--b", ".5", "--alpha", ".5", "--p", ".3",
+         "--z", "1"),
+        ("poisson", "--a", ".1", "--b", ".2", "--q", ".5", "--p", ".2",
+         "--m", "1e30"),
+    ], ids=["qbinomial-gamma-pole", "poisson-huge-m"])
+    def test_typed_failure_exit_three(self, capsys, argv):
+        # ZeroDivisionError (exit 1) and numpy's ValueError for an
+        # oversized node array (usage error, exit 64) before.
+        code, out, _ = run(capsys, "verify", "--identity", *argv)
+        assert code == 3
+        assert json.loads(out)["diagnostics"]["status"] == "inconclusive"
 
     def test_inconclusive_exit_three(self, capsys):
         # The series terms overflow at |n| = 25 (see the next test).

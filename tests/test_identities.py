@@ -214,6 +214,24 @@ class TestVerify:
         with pytest.raises(InvalidParams, match=f"real 0 < {key} < 1"):
             verify(ident, point)
 
+    @pytest.mark.parametrize("ident, params", [
+        (IdentityId.QBinomialForm,
+         {"a": -1.0, "b": 0.5, "alpha": 0.5, "p": 0.3, "z": 1.0}),
+        (IdentityId.BaileyBinomial,
+         {"a1": -1.0, "b1": 0.5, "a2": 2.0, "b2": 1.0, "alpha": 0.4,
+          "p": 0.5}),
+        (IdentityId.Multibasic,
+         {"p1": 0.2, "a1": -2.0, "b1": 1.0, "p2": 0.3, "a2": 3.0, "b2": 1.0,
+          "alpha_sum": 0.5}),
+    ], ids=["qbinomial", "bailey-binomial", "multibasic"])
+    def test_gamma_pole_of_the_normalizer_is_typed(self, ident, params):
+        # (p, p^(a+1); p)_inf vanishes at a = -1, -2, ...: the first two
+        # escaped ZeroDivisionError, multibasic reported a term overflow.
+        report = verify(ident, params)
+        assert report.lhs_diag["status"] == "inconclusive"
+        assert report.lhs_diag["reason"].startswith(
+            "PoleAtNonpositiveInteger: Gamma_p(a+1) pole")
+
     def test_overflowing_integrand_fails_without_warnings(self):
         # The integrand overflows to inf/inf; the first non-finite sample
         # fails the integral, and numpy must not warn on the way.

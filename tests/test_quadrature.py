@@ -2,11 +2,17 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsinc
 from qsinc import (
     DenominatorZero,
     DomainError,
@@ -33,10 +39,10 @@ from qsinc import (
 )
 from qsinc.errors import InvalidDecay
 from qsinc import quadrature
-from qsinc.quadrature import _CHUNK, MAX_NODES
+from qsinc.quadrature import _CHUNK, MAX_NODES, _decay
 
 from conftest import rel_err
-from oracles import MULTIBASIC_SERIES
+from oracles import MULTIBASIC_SERIES, WEIGHTED_SERIES
 
 
 def _sp(a, b, z, q, p):
@@ -152,6 +158,51 @@ class TestGaussianDecay:
             integrate_gaussian_decay(lambda x: np.exp(-x * x), (1.0, 1.0),
                                      1e-10, nodes_per_unit=1)
 
+    def _never_called(self, x):
+        raise AssertionError("sampled a window that is over budget")
+
+    def test_node_budget_checked_before_sampling(self):
+        # 10^5 nodes per unit: the first level is above MAX_NODES,
+        # so no node of it is built or sampled.
+        with pytest.raises(QuadratureFailure, match="max_nodes=262144; no "):
+            integrate_gaussian_decay(self._never_called, (1.0, 1.0), 1e-10,
+                                     nodes_per_unit=10 ** 5)
+
+    def test_infinite_window_fails_typed(self):
+        with pytest.raises(QuadratureFailure, match="no finite window"):
+            integrate_gaussian_decay(self._never_called, (1.0, math.inf),
+                                     1e-10)
+
+
+class TestDecayModel:
+    @pytest.mark.parametrize("a, b, z, q, p", [
+        (0.2, 0.3, 1.0, 0.6, 0.3), (-0.8, 0.05, 0.5 + 0.5j, 0.4, 0.1),
+        (0.0, 1.5, 2.0, 0.8, 0.5), (0.3, -0.4, 0.3, 0.3j, 0.1j)])
+    def test_one_factor_is_the_symmetric_model(self, a, b, z, q, p):
+        # (b q^x, a q^-x; p)_inf / theta: g = (1 - alpha) ln(1/|q|) / 2 and
+        # r = max(|z| |a|^alpha / |q|, |b|^alpha / |z|, 1 / |q|).
+        alpha = math.log(abs(q)) / math.log(abs(p))
+        g, r = _decay(((p, a, b, cmath.log(q)),), q, z)
+        aa = abs(a) ** alpha if a else 1.0
+        r_ref = max(abs(z) * aa / abs(q), abs(b) ** alpha / abs(z),
+                    1.0 / abs(q))
+        assert g == pytest.approx(0.5 * (1 - alpha) * math.log(1 / abs(q)),
+                                  rel=1e-14)
+        assert r == pytest.approx(r_ref, rel=1e-14)
+
+    def test_weight_order_and_exponential(self):
+        # No factors: the theta sum, and Bailey's order-2 weight; e^(mu x)
+        # moves the ratio at +inf by e^(Re mu) and at -inf by e^(-Re mu).
+        q, z = 0.5, 3.0
+        assert _decay((), q, z) == pytest.approx((0.5 * math.log(2), 6.0))
+        assert _decay((), q, z, k=2)[0] == pytest.approx(math.log(2))
+        mu = 3 * cmath.log(q)  # the weight q^(3x)
+        assert _decay((), q, z, mu=mu)[1] == pytest.approx(8.0 / 3.0)
+        assert _decay((), q, 0.1, mu=mu)[1] == pytest.approx(80.0)
+
+    def test_overflowing_ratio_is_infinite(self):
+        assert _decay((), 0.5, 1.0, mu=-1e4 * math.log(2))[1] == math.inf
+
 
 class TestBaseIntegral:
     @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.7, 0.9])
@@ -179,6 +230,15 @@ class TestMainIntegral:
         res = main_integral(params, quad_eps)
         ev = main_series(params, series_eps)
         assert rel_err(res.value, ev.value) < 1e-8
+
+    @pytest.mark.parametrize("z", [2.0, 0.5 + 0.5j])
+    def test_window_is_the_mapped_integrands(self, z, quad_eps):
+        # main_integral integrates the symmetric integrand at (a z, b/z, 1),
+        # so its window is that integrand's, not the one of (a, b, z).
+        params = _sp(0.2, 0.3, z, 0.6, 0.3)
+        mapped = replace(params, a=0.2 * z, b=0.3 / z, z=1.0)
+        assert (main_integral(params, quad_eps).half_width_used
+                == symmetric_integral(mapped, quad_eps).half_width_used)
 
     def test_trivial_numerator_is_theta(self, quad_eps):
         res = main_integral(_sp(0.0, 0.0, 0.8, 0.5, 0.2), quad_eps)
@@ -238,6 +298,48 @@ class TestWeightedIntegral:
         res = weighted_integral(params, m, quad_eps)
         ev = weighted_series(params, m, series_eps)
         assert rel_err(res.value, ev.value) < 1e-9
+
+    @pytest.mark.parametrize("key", sorted(WEIGHTED_SERIES))
+    def test_against_oracle(self, key, quad_eps):
+        # The window is sized for q^(mx) on each side separately; bounding
+        # it by 1/|q|^|m| on both widened the window into overflow at the
+        # two m < 0 points.
+        a, b, q, p, m = key
+        res = weighted_integral(_sp(a, b, 1.0, q, p), m, quad_eps)
+        assert rel_err(res.value, WEIGHTED_SERIES[key]) < 1e-11
+
+    def test_huge_weight_fails_typed(self, quad_eps):
+        report = verify(IdentityId.WeightedM,
+                        {"a": 0.1, "b": 0.2, "q": 0.5, "p": 0.2, "m": 10 ** 4})
+        assert report.lhs_diag["status"] == "inconclusive"
+        assert report.lhs_diag["reason"].startswith("NoConvergence")
+        with pytest.raises(QuadratureFailure, match="no finite window"):
+            weighted_integral(_sp(0.1, 0.2, 1.0, 0.5, 0.2), 10 ** 4, quad_eps)
+
+
+class TestBoundedMemory:
+    @pytest.mark.parametrize("ident, params", [
+        ("fourier", {"a": 0.1, "b": 0.2, "q": 0.5, "p": 0.2, "y": 1e7}),
+        ("poisson", {"a": 0.1, "b": 0.2, "q": 0.5, "p": 0.2, "m": 10 ** 6}),
+        ("poisson", {"a": 0.1, "b": 0.2, "q": 0.5, "p": 0.2, "m": 10 ** 30}),
+    ], ids=["fourier-y1e7", "poisson-m1e6", "poisson-m1e30"])
+    def test_over_budget_density_fails_typed(self, ident, params):
+        # Under a 512 MiB address-space cap the first two escaped
+        # MemoryError while their first level was built (803 and 504 MiB);
+        # the third escaped numpy's ValueError for an oversized array.
+        src = str(Path(qsinc.__file__).resolve().parents[1])
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from qsinc import IdentityId, verify\n"
+            f"r = verify(IdentityId({ident!r}), {params!r})\n"
+            "print(r.lhs_diag['status'], r.lhs_diag['reason'])\n")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith(
+            "inconclusive QuadratureFailure: level 0 needs"), out.stdout
 
 
 class TestMultibasicIntegral:
