@@ -111,9 +111,7 @@ def _bilateral_doubling(block_sum, eps: float) -> Side:
             return Side(total, "doubling", terms_used=terms,
                         half_width_used=n_hi, tail_estimate=tail)
         if 2 * n_hi > SERIES_MAX_TERMS:
-            raise SlowConvergence(
-                f"no convergence within {SERIES_MAX_TERMS} terms"
-            )
+            raise SlowConvergence(f"no convergence after {terms} terms")
         far = np.arange(n_hi + 1, 2 * n_hi + 1)
         ring = block_sum(np.concatenate([-far[::-1], far]))
         total += ring

@@ -2,7 +2,9 @@
 
 Exit codes: 0 pass, 1 fail, 2 invalid parameters, 3 inconclusive
 (convergence or quadrature failure), 64 usage error.  Stdout carries pure
-data in the selected format; diagnostics go to stderr.
+data in the selected format; diagnostics go to stderr.  Floats print by
+json or repr: the shortest text that reads back to the same value.  An
+omitted parameter takes the library's default and is not in params.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
-import random
 import sys
 from typing import Any, Sequence
 
@@ -22,7 +24,7 @@ from .classical import gamma_classical
 from .errors import InvalidParams, QsincError
 from .identities import IdentityId, IdentityReport
 from .qcore import qgamma
-from .util import format_complex, format_real, parse_complex
+from .util import format_complex, parse_complex
 
 _PARAM_FLAGS = (
     "a", "b", "z", "q", "p", "y", "m", "l", "alpha", "theta", "c", "x",
@@ -80,36 +82,6 @@ def _identity_from_name(name: str) -> IdentityId:
 
 # --- serialization ---------------------------------------------------------
 
-def _json_dump(value: Any) -> str:
-    """Deterministic JSON with 17-significant-digit floats.
-
-    The float format round-trips exactly, so parse + re-serialize is
-    byte-identical.
-    """
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return format_real(value)
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(value, dict):
-        inner = ",".join(f'{_json_dump(str(k))}:{_json_dump(v)}'
-                         for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_json_dump(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _param_value(value: Any) -> Any:
     if isinstance(value, complex):
         return format_complex(value)
@@ -141,10 +113,9 @@ def report_to_dict(report: IdentityReport, timing: bool) -> dict[str, Any]:
 
 
 def _csv_cell(value: Any) -> str:
+    """A float prints as its repr, the shortest text that reads back to it."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format_real(value)
     if isinstance(value, complex):
         return format_complex(value)
     return str(value)
@@ -199,15 +170,13 @@ def _report_to_text(report: IdentityReport) -> str:
 
 
 def _emit(text: str, path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w") as handle:
             handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
 
 
 def _report_exit(report: IdentityReport) -> int:
@@ -248,31 +217,19 @@ def _apply_ratio(point: dict[str, Any]) -> dict[str, Any]:
     return point
 
 
-def _seeded_defaults(ident: IdentityId, params: dict[str, Any],
-                     seed: int) -> dict[str, Any]:
-    """Fill randomized defaults so --seed pins every drawn quantity."""
-    if ident is IdentityId.Invariance and "c" not in params:
-        rng = random.Random(seed)
-        mag = rng.uniform(0.6, 1.5)
-        ang = rng.uniform(-11.0 * math.pi / 12.0, 11.0 * math.pi / 12.0)
-        params = dict(params)
-        params["c"] = mag * complex(math.cos(ang), math.sin(ang))
-    return params
-
-
 # --- subcommands -----------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
     ident = _identity_from_name(args.identity)
     params = _apply_ratio(_collect_params(args, grids=False))
-    params = _seeded_defaults(ident, params, args.seed)
     try:
         report = identities.verify(ident, params, tol=args.tol)
     except InvalidParams as exc:
         sys.stderr.write(f"invalid parameters: {exc}\n")
         return EXIT_INVALID
     if args.format == "json":
-        _emit(_json_dump(report_to_dict(report, args.timing)), args.output)
+        _emit(json.dumps(report_to_dict(report, args.timing),
+                         separators=(",", ":")), args.output)
     elif args.format == "csv":
         _emit(_reports_to_csv([report], args.timing), args.output)
     else:
@@ -285,8 +242,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = _collect_params(args, grids=True)
     if not grid.keys() - {"allow_extreme"}:
         raise UsageError("sweep requires at least one parameter grid")
-    points = [_seeded_defaults(ident, _apply_ratio(p), args.seed)
-              for p in identities.expand_grid(grid)]
+    points = [_apply_ratio(p) for p in identities.expand_grid(grid)]
     reports, summary = identities.sweep_points(
         ident, points, tol=args.tol, threads=args.threads)
     if args.format == "json":
@@ -294,7 +250,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "reports": [report_to_dict(r, args.timing) for r in reports],
             "summary": summary,
         }
-        _emit(_json_dump(doc), args.output)
+        _emit(json.dumps(doc, separators=(",", ":")), args.output)
     elif args.format == "csv":
         _emit(_reports_to_csv(reports, args.timing), args.output)
         sys.stderr.write(f"summary: {summary}\n")
@@ -355,7 +311,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
                 "rhs": {"re": complex(r["rhs"]).real,
                         "im": complex(r["rhs"]).imag},
                 "error": r["error"]} for r in rows]
-        _emit(_json_dump(doc), args.output)
+        _emit(json.dumps(doc, separators=(",", ":")), args.output)
     elif args.format == "csv":
         keys = ("parameter", "lhs", "rhs", "error")
         _emit(_csv_text(keys, ([_csv_cell(r[k]) for k in keys] for r in rows)),
@@ -378,7 +334,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
 def cmd_catalog(args: argparse.Namespace) -> int:
     if args.format == "json":
         doc = {ident.value: identities.CATALOG[ident] for ident in IdentityId}
-        _emit(_json_dump(doc), args.output)
+        _emit(json.dumps(doc, separators=(",", ":")), args.output)
     elif args.format == "csv":
         rows = ((i.value, identities.CATALOG[i]) for i in IdentityId)
         _emit(_csv_text(("identity", "description"), rows), args.output)
@@ -408,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
     parser.add_argument("--output", default=None, metavar="PATH")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--timing", action="store_true",
                         help="report wall-clock times (off for determinism)")

@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from . import bilateral, classical, quadrature
 from .bilateral import _product_terms, _sum_pairs
@@ -57,50 +57,21 @@ class IdentityId(Enum):
     PoissonVanishing = "poisson"
 
 
-CATALOG: dict[IdentityId, str] = {
-    IdentityId.Main: "bilateral product series equals its companion dt/t integral",
-    IdentityId.Symmetric: "symmetric form: sum over Z equals integral over R",
-    IdentityId.QBinomialForm: "q-binomial rewriting of the symmetric form",
-    IdentityId.Osler: "generalized binomial sum on the unit circle vs closed form",
-    IdentityId.ClassicalSumInt: "classical binomial-power sum equals integral",
-    IdentityId.AppellLerch: "p=q^2 specialization equals the Appell-Lerch form",
-    IdentityId.Invariance: "symmetric series depends only on b/z and a*z",
-    IdentityId.Fourier: "Fourier transform equals the sinh-kernel series",
-    IdentityId.WeightedM: "q^(mx)-weighted integral equals the weighted sum",
-    IdentityId.Bailey: "four-product bilateral transformation, left vs right",
-    IdentityId.BaileyBinomial: "q-binomial form of the four-product transformation",
-    IdentityId.Multibasic: "multibasic q-binomial sum equals integral",
-    IdentityId.FunctionalEq1: "contiguous relation in b: f(a,b,z)=f(a,bp,z)-b f(a,bp,qz)",
-    IdentityId.FunctionalEq2: "contiguous relation in a: f(a,b,z)=f(ap,b,z)-a f(ap,b,z/q)",
-    IdentityId.BaseIntegral: "base dt/t integral equals (q;q)_inf ln(1/q)",
-    IdentityId.TripleProduct: "triple product equals the bilateral theta sum",
-    IdentityId.PoissonVanishing: "Fourier transform vanishes at y = 2 pi m",
-}
-
 # Default tolerances: each extra numerical layer costs about one digit.
 _SERIES_TOL = 1e-8
 _QUAD_TOL = 1e-7
 _CLASSICAL_TOL = 1e-6
 
-DEFAULT_TOL: dict[IdentityId, float] = {
-    IdentityId.Main: _QUAD_TOL,
-    IdentityId.Symmetric: _QUAD_TOL,
-    IdentityId.QBinomialForm: _QUAD_TOL,
-    IdentityId.Osler: _CLASSICAL_TOL,
-    IdentityId.ClassicalSumInt: _CLASSICAL_TOL,
-    IdentityId.AppellLerch: _SERIES_TOL,
-    IdentityId.Invariance: 1e-9,
-    IdentityId.Fourier: _CLASSICAL_TOL,
-    IdentityId.WeightedM: _QUAD_TOL,
-    IdentityId.Bailey: _SERIES_TOL,
-    IdentityId.BaileyBinomial: _SERIES_TOL,
-    IdentityId.Multibasic: _CLASSICAL_TOL,
-    IdentityId.FunctionalEq1: 1e-9,
-    IdentityId.FunctionalEq2: 1e-9,
-    IdentityId.BaseIntegral: 1e-10,
-    IdentityId.TripleProduct: 1e-10,
-    IdentityId.PoissonVanishing: 1e-8,
-}
+# The identity table: each IdentityId's arm, default tolerance and catalog
+# description, registered once by the _arm decorator on the arm.
+_IDENTITIES: dict[IdentityId, tuple[Callable, float, str]] = {}
+
+
+def _arm(ident: IdentityId, tol: float, description: str):
+    def register(arm: Callable) -> Callable:
+        _IDENTITIES[ident] = (arm, tol, description)
+        return arm
+    return register
 
 
 @dataclass(frozen=True)
@@ -177,11 +148,6 @@ def _real(params: Mapping[str, Any], name: str, default: float | None = None,
     return float(value)
 
 
-def _unit_real(params: Mapping[str, Any], name: str) -> float:
-    """params[name], which must be a real number in (0, 1)."""
-    return _real(params, name, lo=0.0, hi=1.0)
-
-
 def _allow_extreme(params: Mapping[str, Any]) -> bool:
     return bool(params.get("allow_extreme", False))
 
@@ -193,7 +159,7 @@ def _qparams(params: Mapping[str, Any]) -> QParams:
 
 def _binomial_qparams(params: Mapping[str, Any]) -> QParams:
     """The base pair (p, q = p^alpha) of the q-binomial arms."""
-    alpha, p = _unit_real(params, "alpha"), _unit_real(params, "p")
+    alpha, p = (_real(params, k, lo=0.0, hi=1.0) for k in ("alpha", "p"))
     return QParams(p=p, q=p ** alpha, allow_extreme=_allow_extreme(params))
 
 
@@ -235,7 +201,7 @@ def verify(ident: IdentityId, params: Mapping[str, Any],
         eps = min(tol / 100.0, 1e-10)
     start = time.perf_counter()
     try:
-        lhs, rhs = _DISPATCH[ident](params, eps)
+        lhs, rhs = _IDENTITIES[ident][0](params, eps)
     except InvalidParams:
         raise
     except QsincError as exc:
@@ -248,20 +214,26 @@ def verify(ident: IdentityId, params: Mapping[str, Any],
                        elapsed=time.perf_counter() - start)
 
 
-# --- dispatch arms: each returns the (lhs, rhs) Sides ----------------------
+# --- arms: each returns the (lhs, rhs) Sides of its identity --------------
 
+@_arm(IdentityId.Main, _QUAD_TOL,
+      "bilateral product series equals its companion dt/t integral")
 def _arm_main(params, eps):
     sp = _series_params(params)
     return (bilateral.main_series(sp, eps),
             quadrature.main_integral(sp, eps))
 
 
+@_arm(IdentityId.Symmetric, _QUAD_TOL,
+      "symmetric form: sum over Z equals integral over R")
 def _arm_symmetric(params, eps):
     sp = _series_params(params)
     return (bilateral.symmetric_series(sp, eps),
             quadrature.symmetric_integral(sp, eps))
 
 
+@_arm(IdentityId.QBinomialForm, _QUAD_TOL,
+      "q-binomial rewriting of the symmetric form")
 def _arm_qbinomial(params, eps):
     a, b, z = _required(params, "a", "b", "z")
     qp = _binomial_qparams(params)
@@ -274,6 +246,8 @@ def _arm_qbinomial(params, eps):
             quadrature.symmetric_integral(sp, eps).scaled(inv_c))
 
 
+@_arm(IdentityId.Osler, _CLASSICAL_TOL,
+      "generalized binomial sum on the unit circle vs closed form")
 def _arm_osler(params, eps):
     op = OslerParams(a=_real(params, "a"), b=_real(params, "b", 0.0),
                      alpha=_real(params, "alpha"),
@@ -283,6 +257,8 @@ def _arm_osler(params, eps):
             Side((1.0 / op.alpha) * (1.0 + v) ** op.a, "closed-form"))
 
 
+@_arm(IdentityId.ClassicalSumInt, _CLASSICAL_TOL,
+      "classical binomial-power sum equals integral")
 def _arm_classical_sum_int(params, eps):
     a, alpha = _real(params, "a", lo=0.0), _real(params, "alpha")
     l = _integer(params, "l")
@@ -294,6 +270,8 @@ def _arm_classical_sum_int(params, eps):
             classical.classical_integral(a, alpha, l, eps))
 
 
+@_arm(IdentityId.AppellLerch, _SERIES_TOL,
+      "p=q^2 specialization equals the Appell-Lerch form")
 def _arm_appell_lerch(params, eps):
     a, q = map(complex, _required(params, "a", "q"))
     qp = QParams(p=q * q, q=q)
@@ -302,6 +280,8 @@ def _arm_appell_lerch(params, eps):
     return bilateral.main_series(sp, eps), rhs
 
 
+@_arm(IdentityId.Invariance, 1e-9,
+      "symmetric series depends only on b/z and a*z")
 def _arm_invariance(params, eps):
     sp = _series_params(params)
     c = complex(params.get("c", 1.3 + 0.4j))
@@ -312,6 +292,8 @@ def _arm_invariance(params, eps):
             bilateral.symmetric_series(moved, eps))
 
 
+@_arm(IdentityId.Fourier, _CLASSICAL_TOL,
+      "Fourier transform equals the sinh-kernel series")
 def _arm_fourier(params, eps):
     y = _real(params, "y")
     sp = _series_params(params, z_default=1.0)
@@ -319,6 +301,8 @@ def _arm_fourier(params, eps):
             bilateral.fourier_series_side(sp, y, eps))
 
 
+@_arm(IdentityId.WeightedM, _QUAD_TOL,
+      "q^(mx)-weighted integral equals the weighted sum")
 def _arm_weighted(params, eps):
     m = _integer(params, "m")
     sp = _series_params(params, z_default=1.0)
@@ -326,6 +310,8 @@ def _arm_weighted(params, eps):
             quadrature.weighted_integral(sp, m, eps))
 
 
+@_arm(IdentityId.Bailey, _SERIES_TOL,
+      "four-product bilateral transformation, left vs right")
 def _arm_bailey(params, eps):
     a1, a2, b1, b2, z = _required(params, "a1", "a2", "b1", "b2", "z")
     bp = BaileyParams(qp=_qparams(params), a1=a1, a2=a2, b1=b1, b2=b2, z=z)
@@ -333,6 +319,8 @@ def _arm_bailey(params, eps):
             bilateral.bailey_series(bp, "right", eps))
 
 
+@_arm(IdentityId.BaileyBinomial, _SERIES_TOL,
+      "q-binomial form of the four-product transformation")
 def _arm_bailey_binomial(params, eps):
     qp = _binomial_qparams(params)
     p = qp.p
@@ -360,15 +348,19 @@ def _multibasic_params(params: Mapping[str, Any]) -> MultibasicParams:
     if "q" in params:
         return MultibasicParams(factors=factors, q=params["q"], z=z)
     return MultibasicParams.from_alpha_sum(
-        factors, _unit_real(params, "alpha_sum"), z)
+        factors, _real(params, "alpha_sum", lo=0.0, hi=1.0), z)
 
 
+@_arm(IdentityId.Multibasic, _CLASSICAL_TOL,
+      "multibasic q-binomial sum equals integral")
 def _arm_multibasic(params, eps):
     mp = _multibasic_params(params)
     return (bilateral.multibasic_series(mp, eps),
             quadrature.multibasic_integral(mp, eps))
 
 
+@_arm(IdentityId.FunctionalEq1, 1e-9,
+      "contiguous relation in b: f(a,b,z)=f(a,bp,z)-b f(a,bp,qz)")
 def _arm_functional_eq1(params, eps):
     sp = _series_params(params)
     p, q = sp.qp.p, sp.qp.q
@@ -377,6 +369,8 @@ def _arm_functional_eq1(params, eps):
     return bilateral.main_series(sp, eps), t1 + t2.scaled(-sp.b)
 
 
+@_arm(IdentityId.FunctionalEq2, 1e-9,
+      "contiguous relation in a: f(a,b,z)=f(ap,b,z)-a f(ap,b,z/q)")
 def _arm_functional_eq2(params, eps):
     sp = _series_params(params)
     p, q = sp.qp.p, sp.qp.q
@@ -385,18 +379,24 @@ def _arm_functional_eq2(params, eps):
     return bilateral.main_series(sp, eps), t1 + t2.scaled(-sp.a)
 
 
+@_arm(IdentityId.BaseIntegral, 1e-10,
+      "base dt/t integral equals (q;q)_inf ln(1/q)")
 def _arm_base_integral(params, eps):
     (q,) = _required(params, "q")
     lhs = quadrature.base_integral(q, eps)  # checks q first
     return lhs, Side(qpoch_inf(q, q) * math.log(1.0 / abs(q)), "product")
 
 
+@_arm(IdentityId.TripleProduct, 1e-10,
+      "triple product equals the bilateral theta sum")
 def _arm_triple_product(params, eps):
     z, q = map(complex, _required(params, "z", "q"))
     return (Side(theta_product(z, q), "product"),
             _sum_pairs(*_product_terms((), q, z, 1), eps))
 
 
+@_arm(IdentityId.PoissonVanishing, 1e-8,
+      "Fourier transform vanishes at y = 2 pi m")
 def _arm_poisson(params, eps):
     m = _integer(params, "m", 1)
     if m == 0:
@@ -406,25 +406,9 @@ def _arm_poisson(params, eps):
             Side(0.0, "closed-form"))
 
 
-_DISPATCH = {
-    IdentityId.Main: _arm_main,
-    IdentityId.Symmetric: _arm_symmetric,
-    IdentityId.QBinomialForm: _arm_qbinomial,
-    IdentityId.Osler: _arm_osler,
-    IdentityId.ClassicalSumInt: _arm_classical_sum_int,
-    IdentityId.AppellLerch: _arm_appell_lerch,
-    IdentityId.Invariance: _arm_invariance,
-    IdentityId.Fourier: _arm_fourier,
-    IdentityId.WeightedM: _arm_weighted,
-    IdentityId.Bailey: _arm_bailey,
-    IdentityId.BaileyBinomial: _arm_bailey_binomial,
-    IdentityId.Multibasic: _arm_multibasic,
-    IdentityId.FunctionalEq1: _arm_functional_eq1,
-    IdentityId.FunctionalEq2: _arm_functional_eq2,
-    IdentityId.BaseIntegral: _arm_base_integral,
-    IdentityId.TripleProduct: _arm_triple_product,
-    IdentityId.PoissonVanishing: _arm_poisson,
-}
+CATALOG: dict[IdentityId, str] = {i: _IDENTITIES[i][2] for i in IdentityId}
+DEFAULT_TOL: dict[IdentityId, float] = {i: _IDENTITIES[i][1]
+                                        for i in IdentityId}
 
 
 def expand_grid(grid: Mapping[str, list]) -> list[dict[str, Any]]:

@@ -92,16 +92,11 @@ class Side:
 
 @dataclass(frozen=True)
 class QParams:
-    """Base pair (p, q) with |p| < |q| < 1 and derived decay exponents.
-
-    alpha = ln|q| / ln|p| in (0, 1) controls the Gaussian term decay
-    q^{(1-alpha) n^2 / 2}.
-    """
+    """Base pair (p, q) with |p| < |q| < 1."""
 
     p: complex
     q: complex
     allow_extreme: bool = False
-    alpha: float = field(init=False)
 
     def __post_init__(self) -> None:
         ap, aq = abs(self.p), abs(self.q)
@@ -119,7 +114,6 @@ class QParams:
                 raise InvalidParams(
                     f"|p|={ap} > 0.95|q|; pass allow_extreme=True to override"
                 )
-        object.__setattr__(self, "alpha", math.log(aq) / math.log(ap))
 
 
 @dataclass(frozen=True)

@@ -34,11 +34,11 @@ from .errors import (
     DomainError,
     InvalidDecay,
     InvalidParams,
+    NoConvergence,
     PoleAtNonpositiveInteger,
     QuadratureFailure,
 )
 from .qcore import (
-    POLE_TOL,
     MultibasicParams,
     SeriesParams,
     Side,
@@ -128,7 +128,7 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
                     f"last estimate {value:.17g} changed by "
                     f"{abs(value - prev):.2e}")
             raise QuadratureFailure(
-                f"level {level} needs {nodes + k1 - k0} nodes, above "
+                f"level {level} needs {nodes + k1 - k0:.3g} nodes, above "
                 f"max_nodes={MAX_NODES}; {last}")
         v = sample(step * (np.arange(k0, k1) + shift + mid))
         edge = max(abs(v[0]), abs(v[-1]))
@@ -185,7 +185,7 @@ def _check_line_pole(z: complex, q: complex) -> None:
     z, q = complex(z), complex(q)
     s = -math.log(abs(z)) / math.log(abs(q))
     u = z * cmath.exp(s * cmath.log(q))
-    if abs(1.0 + u) < POLE_TOL * (1.0 + abs(u)):
+    if _vanishing_factor(-u, q) is not None:  # |u| = 1, so only m = 0
         raise DenominatorZero(
             f"denominator vanishes at x = {s:.17g} (mod 1) (z={z})")
 
@@ -258,11 +258,16 @@ def _symmetric_model(params: SeriesParams, mu: complex = 0.0):
 def _binomial_normalizer(a: float, p: complex) -> complex:
     """(p, p^(a+1); p)_inf, the denominator of [a; u]_p as a product ratio;
     it vanishes at the Gamma_p(a+1) poles a = -1, -2, ...
-    (PoleAtNonpositiveInteger)."""
+    (PoleAtNonpositiveInteger).  A product that underflows to 0 without a
+    vanishing factor, as (p; p)_inf does for p near 1, is NoConvergence."""
     pa = _cpow(p, a + 1.0)
     if _has_zero_factor(pa, p):
         raise PoleAtNonpositiveInteger(f"Gamma_p(a+1) pole at a={a}")
-    return qpoch_inf(p, p) * qpoch_inf(pa, p)
+    norm = qpoch_inf(p, p) * qpoch_inf(pa, p)
+    if norm == 0:
+        raise NoConvergence(
+            f"(p, p^(a+1); p)_inf underflows to 0 at p={p:.6g}")
+    return norm
 
 
 def _multibasic_model(params: MultibasicParams):

@@ -1,4 +1,4 @@
-"""Small numeric helpers: exact summation and complex parsing."""
+"""Small numeric helpers: exact summation, complex parsing and printing."""
 
 from __future__ import annotations
 
@@ -35,14 +35,11 @@ def parse_complex(text: str) -> complex:
     return complex(re_part, im_part)
 
 
-def format_real(x: float) -> str:
-    """Fixed 17-significant-digit formatting; round-trips exactly."""
-    return f"{x:.17g}"
-
-
 def format_complex(z: complex) -> str:
+    """'a', 'a+bi' or 'a-bi' from the reprs of the parts, the shortest text
+    that parse_complex reads back to exactly z."""
     z = complex(z)
     if z.imag == 0.0:
-        return format_real(z.real)
+        return repr(z.real)
     sign = "+" if z.imag >= 0 else "-"
-    return f"{format_real(z.real)}{sign}{format_real(abs(z.imag))}i"
+    return f"{z.real!r}{sign}{abs(z.imag)!r}i"

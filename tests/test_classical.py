@@ -17,6 +17,7 @@ from qsinc import (
     OslerParams,
     PoleAtNonpositiveInteger,
     QuadratureFailure,
+    SlowConvergence,
     binomial_profile,
     binomial_real,
     classical_integral,
@@ -158,6 +159,20 @@ class TestClassicalSumInt:
         monkeypatch.setattr(classical, "binomial_profile", aliased)
         with pytest.raises(QuadratureFailure, match="refinement"):
             classical_integral(2.0, alpha, 1, series_eps)
+
+    def test_doubling_reports_the_terms_it_evaluated(self):
+        # A block sum that never shrinks: the message named the budget,
+        # 1000000, after 1048577 terms had been evaluated.
+        evaluated = []
+
+        def flat(n):
+            evaluated.append(n.size)
+            return float(n.size)
+
+        with pytest.raises(SlowConvergence) as info:
+            classical._bilateral_doubling(flat, 1e-10)
+        assert sum(evaluated) == 1_048_577
+        assert str(info.value) == "no convergence after 1048577 terms"
 
     @pytest.mark.parametrize("a,l,alpha,verdict", [
         (0.7, 1, 1.0, "SlowConvergence"),

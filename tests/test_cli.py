@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from qsinc import cli, qpoch_inf
+from qsinc import IdentityId, cli, qpoch_inf, verify
 
 
 def run(capsys, *argv):
@@ -168,7 +168,7 @@ class TestJsonFormat:
                         "--a", "0.1", "--b", "0.2", "--z", "1",
                         "--q", "0.5", "--p", "0.2")
         parsed = json.loads(out)
-        assert cli._json_dump(parsed) + "\n" == out
+        assert json.dumps(parsed, separators=(",", ":")) + "\n" == out
 
     @pytest.mark.parametrize("argv", [
         ("--identity", "osler", "--a", "2", "--alpha", "0.5"),
@@ -233,13 +233,19 @@ class TestSweepCommand:
         doc = json.loads(out)
         assert doc["summary"]["passed"] == 1
 
-    def test_seed_fills_randomized_defaults(self, capsys):
-        point = ("--identity", "invariance", "--a", "0.2", "--b", "0.3",
-                 "--z", "1", "--q", "0.6", "--p", "0.3", "--seed", "5")
-        _, out, _ = run(capsys, "verify", *point)
-        c = json.loads(out)["params"]["c"]
-        _, out, _ = run(capsys, "sweep", *point)
-        assert json.loads(out)["reports"][0]["params"]["c"] == c
+    def test_invariance_default_c_is_the_librarys(self, capsys):
+        # Without --c the CLI drew its own c from a seed, so its rhs
+        # differed from verify's at the same point.
+        point = {"a": 0.2, "b": 0.3, "z": 1.0, "q": 0.6, "p": 0.3}
+        flags = [f"--{k}={v!r}" for k, v in point.items()]
+        rhs = verify(IdentityId.Invariance, point).rhs
+        for command in ("verify", "sweep"):
+            _, out, _ = run(capsys, command, "--identity", "invariance",
+                            *flags)
+            doc = json.loads(out)
+            report = doc if command == "verify" else doc["reports"][0]
+            assert "c" not in report["params"]
+            assert complex(report["rhs"]["re"], report["rhs"]["im"]) == rhs
 
     def test_csv_columns(self, capsys):
         code, out, _ = run(capsys, *self._FLAGS, "--format", "csv")

@@ -16,7 +16,7 @@ from qsinc import (
     sweep_points,
     verify,
 )
-from qsinc.identities import DEFAULT_TOL, expand_grid
+from qsinc.identities import _IDENTITIES, DEFAULT_TOL, expand_grid
 from qsinc.qcore import SIDE_METHODS, Side
 
 from conftest import rel_err
@@ -80,6 +80,13 @@ class TestCatalog:
 
     def test_every_identity_has_default_tol(self):
         assert set(DEFAULT_TOL) == set(IdentityId)
+
+    def test_every_identity_has_arm_tol_and_description(self):
+        assert set(_IDENTITIES) == set(IdentityId)
+        for ident, (arm, tol, description) in _IDENTITIES.items():
+            assert callable(arm)
+            assert tol > 0.0 and DEFAULT_TOL[ident] == tol
+            assert description and CATALOG[ident] == description
 
 
 class TestVerify:
@@ -231,6 +238,16 @@ class TestVerify:
         assert report.lhs_diag["status"] == "inconclusive"
         assert report.lhs_diag["reason"].startswith(
             "PoleAtNonpositiveInteger: Gamma_p(a+1) pole")
+
+    @pytest.mark.parametrize("p1", [0.999, 0.9999])
+    def test_normalizer_underflow_is_typed(self, p1):
+        # (p; p)_inf at p = .999 is about e^-1645, which underflows to 0:
+        # the division by it escaped ZeroDivisionError.
+        report = verify(IdentityId.Multibasic, {"p1": p1, "a1": 2.0,
+                                                "b1": 1.0, "alpha_sum": 0.5})
+        assert report.lhs_diag["status"] == "inconclusive"
+        assert report.lhs_diag["reason"].startswith(
+            "NoConvergence: (p, p^(a+1); p)_inf underflows to 0")
 
     def test_overflowing_integrand_fails_without_warnings(self):
         # The integrand overflows to inf/inf; the first non-finite sample

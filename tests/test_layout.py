@@ -79,6 +79,17 @@ def test_judge_cli_passes_a_passing_verify(workloads, capsys):
     assert out.margin is not None
 
 
+def test_judge_cli_finds_every_catalog_report_sound(workloads, capsys):
+    # The catalog workload reads each report back from the CLI's JSON: a
+    # change of encoding that it cannot read shows here, not only in a
+    # benchmark run.
+    outcomes = [(ident, params, _cli_outcome(workloads, capsys, params, ident))
+                for ident, points in workloads._acceptance_points().items()
+                for params in points]
+    assert len(outcomes) == 217
+    assert [(i, p, o.incorrect) for i, p, o in outcomes if o.incorrect] == []
+
+
 def test_judge_cli_reads_a_huge_product_argument(workloads, capsys):
     out = _cli_outcome(workloads, capsys, _HUGE_ARGUMENT, "weighted")
     assert out.failure == "inconclusive:NoConvergence"

@@ -124,10 +124,6 @@ class TestSide:
 
 
 class TestQParams:
-    def test_alpha_derived(self):
-        qp = QParams(p=0.36, q=0.6)
-        assert qp.alpha == pytest.approx(0.5)
-
     @pytest.mark.parametrize("p,q", [(0.7, 0.6), (0.5, 0.5), (0.0, 0.5),
                                      (0.3, 1.0)])
     def test_base_ordering_enforced(self, p, q):

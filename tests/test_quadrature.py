@@ -168,6 +168,14 @@ class TestGaussianDecay:
             integrate_gaussian_decay(self._never_called, (1.0, 1.0), 1e-10,
                                      nodes_per_unit=10 ** 5)
 
+    def test_astronomical_node_count_is_short(self):
+        # The count was printed in full: a 300-digit integer.
+        with pytest.raises(QuadratureFailure) as info:
+            integrate_gaussian_decay(self._never_called, (1e-300, 2.0),
+                                     1e-10)
+        assert str(info.value) == ("level 0 needs 3.47e+300 nodes, above "
+                                   "max_nodes=262144; no estimate yet")
+
     def test_infinite_window_fails_typed(self):
         with pytest.raises(QuadratureFailure, match="no finite window"):
             integrate_gaussian_decay(self._never_called, (1.0, math.inf),
