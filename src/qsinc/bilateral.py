@@ -2,9 +2,9 @@
 
 Every sum here runs over all integers n with super-exponential term decay
 q^{(1-alpha) n^2 / 2} (or faster).  A term model is a vectorized function of
-an integer array together with its decay (g, r): identities with an integral
-twin use the twin's model from quadrature, the product series (main, Bailey,
-the triple product) take theirs from _product_terms.  _sum_pairs evaluates
+an integer array together with its decay (g, r), both from quadrature's one
+term and one decay routine: the product series (main, Bailey, the triple
+product) build theirs with _product_model, at const = 1.  _sum_pairs evaluates
 a window n in [-N, N] at once, finds the stop index from the decay radius
 and an empirical three-small-pairs rule, and sums the terms up to it exactly
 (fsum).
@@ -35,8 +35,8 @@ from .quadrature import (
     _check_denominator,
     _decay,
     _decay_radius,
+    _integrand,
     _multibasic_model,
-    _qpoch_pair,
     _symmetric_model,
 )
 from .util import fsum_complex
@@ -90,34 +90,16 @@ def _sum_pairs(term: Callable[[np.ndarray], np.ndarray],
         half *= 2
 
 
-def _product_terms(factors, q: complex, z: complex, k: int):
-    """(term, decay) of n -> z^n q^(k n(n-1)/2) prod_j (b_j q^n, a_j q^-n;
-    p_j)_inf for factors ((p_j, a_j, b_j), ...), none for the theta sum.
-
-    The products are evaluated only where the weight is nonzero: a weight
-    that underflows zeroes its term even where the products overflow.
-    """
-    q, z = complex(q), complex(z)
-
-    def term(n: np.ndarray) -> np.ndarray:
-        w = np.power(z, n) * np.power(q, k * (n * (n - 1) // 2))
-        live = w != 0
-        qn, v = np.power(q, n[live]), 1.0
-        for p, a, b in factors:
-            v = v * _qpoch_pair(b * qn, a / qn, p)
-        out = np.zeros(n.shape, dtype=complex)
-        out[live] = w[live] * v
-        return out
-
-    lnq = cmath.log(q)
-    return term, _decay([(p, a, b, lnq) for p, a, b in factors], q, z, k)
+def _product_model(factors, q: complex, z: complex):
+    """(term, decay) of the product series: _integrand at const = 1, where
+    theta(n) = z^n q^(n(n-1)/2) weighs the products of the factors."""
+    return _integrand(factors, q, z), _decay(factors, q, z)
 
 
 def main_series(params: SeriesParams, eps: float) -> Side:
     """Bilateral sum of (b q^n, a q^-n; p)_inf z^n q^(n(n-1)/2)."""
-    qp = params.qp
-    return _sum_pairs(*_product_terms(((qp.p, params.a, params.b),), qp.q,
-                                      params.z, 1), eps)
+    factors = ((params.qp.p, params.a, params.b, cmath.log(params.qp.q)),)
+    return _sum_pairs(*_product_model(factors, params.qp.q, params.z), eps)
 
 
 def symmetric_series(params: SeriesParams, eps: float) -> Side:
@@ -164,13 +146,14 @@ def bailey_series(params: BaileyParams, side: str, eps: float) -> Side:
     """
     p, q, z = params.qp.p, params.qp.q, params.z
     a1, a2, b1, b2 = params.a1, params.a2, params.b1, params.b2
-    if side == "left":
-        return _sum_pairs(*_product_terms(((p, a1, b1), (p, a2, b2)), q, z, 2),
-                          eps)
-    if side != "right":
+    if side not in ("left", "right"):
         raise InvalidParams(f"side must be 'left' or 'right', got {side!r}")
-    mapped = ((p, a1 * z, b1 / z), (p, a2 * z, b2 / z))
-    return _sum_pairs(*_product_terms(mapped, q, 1.0 / z, 2), eps).scaled(z)
+    # The right side is the left one at (a z, b / z, 1 / z), times z; theta
+    # in base q^2 is the weight q^(n(n-1)), while the factors run in q^n.
+    s, lnq = (1.0 if side == "left" else z), cmath.log(q)
+    factors = ((p, a1 * s, b1 / s, lnq), (p, a2 * s, b2 / s, lnq))
+    return _sum_pairs(*_product_model(factors, q * q, z / s / s),
+                      eps).scaled(s)
 
 
 def appell_lerch_rhs(a: complex, q: complex, eps: float) -> Side:
@@ -188,14 +171,10 @@ def appell_lerch_rhs(a: complex, q: complex, eps: float) -> Side:
     a = complex(a)
     q = complex(q)
     q2 = q * q
-    # A theta-type sum in base q^2: terms ~ (1/|a|)^n q^(n^2+n).
-    decay = _decay((), q2, a)
-
+    # The theta sum in base q^2 at z = -q^2/a: terms (-1/a)^n q^(n^2+n).
+    bare, decay = _product_model((), q2, -q2 / a)
     # A (near-)pole of 1 - a q^(2n+1) = 1 - (a q) (q^2)^n on the lattice.
     n_star = _vanishing_factor(a * q, q2)
-
-    def bare(n):
-        return np.power(-1.0 / a, n) * np.power(q, n * n + n)
 
     def term(n: np.ndarray) -> np.ndarray:
         t = bare(n) / (1.0 - a * np.power(q, 2 * n + 1))
@@ -207,7 +186,7 @@ def appell_lerch_rhs(a: complex, q: complex, eps: float) -> Side:
 
     # Pair the vanishing prefactor-factor with pole term c: pref (w S + d c).
     u = 1.0 - a * q ** (2 * n_star + 1)
-    c = complex(bare(n_star))
+    c = complex(bare(np.array([n_star]))[0])
     ev = _sum_pairs(term, decay, eps, abs(n_star) + 2)
     if n_star >= 0:
         # u is literally factor n_star of (qa; q^2)_inf; leave it out.

@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Any, Callable, Mapping
 
 from . import bilateral, classical, quadrature
-from .bilateral import _product_terms, _sum_pairs
+from .bilateral import _product_model, _sum_pairs
 from .classical import OslerParams
 from .errors import InvalidGrid, InvalidParams, QsincError
 from .qcore import (
@@ -392,7 +392,7 @@ def _arm_base_integral(params, eps):
 def _arm_triple_product(params, eps):
     z, q = map(complex, _required(params, "z", "q"))
     return (Side(theta_product(z, q), "product"),
-            _sum_pairs(*_product_terms((), q, z, 1), eps))
+            _sum_pairs(*_product_model((), q, z), eps))
 
 
 @_arm(IdentityId.PoissonVanishing, 1e-8,

@@ -4,20 +4,21 @@ All dt/t integrals over (0, inf) are computed in log-substituted coordinates
 t = q^zeta, where the integrands become smooth with decay r^|zeta|
 e^(-g zeta^2).  The sum-equals-integral theorem says that the sum over Z is
 the trapezoid rule at h = 1 applied to the integrand of the integral over R.
-So each identity family has one term model, built here: its integrand, from
-the one integrand routine _integrand, and its decay (g, r), from the one
-decay routine _decay, both read off the same factor list.  The series side
-(bilateral) evaluates the model on the integer nodes; the integral side
-evaluates it on the lattice h (k + 1/3), whose midpoint refinements
-alternate the offset between 1/3 and 2/3 and so never reach an integer: the
-two sides share code but no samples.  For such integrands the refined
-trapezoid rule on a truncated window converges spectrally, so the rule
-starts coarse, at 2 nodes per unit, and the error estimate is the difference
-of the last two refinement levels.  Every node is sampled once: the first
-level's two outermost samples certify that the truncation is negligible.
-Each level is sampled in chunks of _CHUNK nodes, so the node-by-factor
-matrices of the products stay small, and one integral may use at most
-MAX_NODES nodes: a level past that budget fails before its nodes are built.
+So each identity family has one term model, built from one factor list by
+the one term routine _integrand, which takes the theta denominator on one
+period and extends it by quasi-periodicity, and the one decay routine
+_decay.  The series side (bilateral), product series included, evaluates
+the model on the integer nodes; the integral side evaluates it on the
+lattice h (k + 1/3), whose midpoint refinements alternate the offset
+between 1/3 and 2/3 and so never reach an integer: the two sides share
+code but no samples.  For such integrands the refined trapezoid rule on a
+truncated window converges spectrally, so the rule starts coarse, at 2
+nodes per unit, and the error estimate is the difference of the last two
+refinement levels.  Every node is sampled once: the first level's two
+outermost samples certify that the truncation is negligible.  Each level is
+sampled in chunks of _CHUNK nodes, so the node-by-factor matrices of the
+products stay small, and one integral may use at most MAX_NODES nodes: a
+level past that budget fails before its nodes are built.
 """
 
 from __future__ import annotations
@@ -151,11 +152,6 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
         off = 2 * off % 3
 
 
-def _qpoch_pair(u: np.ndarray, v: np.ndarray, base: complex) -> np.ndarray:
-    """(u, v; base)_inf elementwise."""
-    return qpoch_inf_vec(u, base) * qpoch_inf_vec(v, base)
-
-
 def _check_denominator(z: complex, q: complex) -> None:
     """Reject z on the negative real axis (InvalidParams), and z at which
     (-z q^x, -q^(1-x)/z; q)_inf vanishes on the integers (DenominatorZero).
@@ -192,37 +188,55 @@ def _check_line_pole(z: complex, q: complex) -> None:
 
 def _integrand(factors, q: complex, z: complex, const: complex = 1.0,
                mu: complex = 0.0):
-    """The integrand routine of every q-side with a theta denominator:
+    """The term routine of every q-side: x -> const e^(mu x) theta(x)
+    prod_j (b_j e^(lam_j x), a_j e^(-lam_j x); p_j)_inf for factors
+    ((p_j, a_j, b_j, lam_j), ...), with theta(x) = den(0) / den(x) and
+    den(x) = (-z q^x, -q^(1-x)/z; q)_inf.
 
-    x -> const e^(mu x) prod_j (b_j e^(lam_j x), a_j e^(-lam_j x); p_j)_inf
-         / (-z q^x, -q^(1-x)/z; q)_inf
-
-    for factors ((p_j, a_j, b_j, lam_j), ...).  On the integers it gives the
-    series terms, on the integral's lattice its samples.
-    """
-    q, z = complex(q), complex(z)
-    lnq = cmath.log(q)
+    As den(x+1) = den(x) / (z q^x), theta(n + x0) = z^n q^(n x0 + n(n-1)/2)
+    den(0) / den(x0) for integer n and 0 <= x0 < 1: den is evaluated once
+    per distinct x0 (one per lattice offset of a trapezoid level), and never
+    on the integers, where theta(n) is the product series' weight (const =
+    1); a theta-form model passes const = 1/den(0).  The same identity
+    about the integer c nearest the peak of the weight e^(mu x) theta(x),
+    with z q^c for z, splits the weight into its value at c, one rounding
+    that all terms share, and one exponent, small where terms are large.
+    It multiplies the formed products; where it underflows to 0 the term is
+    0 and its products are not evaluated."""
+    lnq, lnz = cmath.log(complex(q)), cmath.log(complex(z))
+    c = round(0.5 - (lnz.real + mu.real) / lnq.real)
+    top = c * lnz + c * (c - 1) / 2 * lnq + mu * c
+    lnz += c * lnq
 
     def f(x: np.ndarray) -> np.ndarray:
-        v = const
+        n = np.floor(x)
+        x0, n = x - n, n - c
+        w = n * (lnz + mu) + n * (x0 + (n - 1) / 2) * lnq + mu * x0
+        live = np.flatnonzero(np.exp(w.real + top.real))
+        x, x0, v = x[live], x0[live], const * np.exp(top)
         for p, a, b, lam in factors:
             e = np.exp(x * lam)
-            v = v * _qpoch_pair(b * e, a / e, p)
-        zqx = z * np.exp(x * lnq)
-        v = v / _qpoch_pair(-zqx, -q / zqx, q)
-        return v if mu == 0 else v * np.exp(mu * x)
+            v = v * qpoch_inf_vec(b * e, p) * qpoch_inf_vec(a / e, p)
+        if x0.any():
+            _, first, cls = np.unique(np.round(x0, 12), return_index=True,
+                                      return_inverse=True)
+            zq = np.exp(lnz + np.append(0.0, x0[first]) * lnq)
+            den = qpoch_inf_vec(-zq, q) * qpoch_inf_vec(-q / zq, q)
+            v = v * (den[0] / den[1:])[cls]
+        out = np.zeros(w.shape, dtype=complex)
+        out[live] = v * np.exp(w[live])
+        return out
 
     return f
 
 
-def _decay(factors, q: complex, z: complex, k: int = 1,
+def _decay(factors, q: complex, z: complex,
            mu: complex = 0.0) -> tuple[float, float]:
     """The decay routine of every q-side: (g, r) with
-    |term(x)| = O(r^|x| e^(-g x^2)) for the factors of _integrand, the
-    weight e^(mu x), and the theta denominator (k = 1) or the integer weight
-    z^n q^(k n(n-1)/2) that it equals on the integers up to a constant.
+    |term(x)| = O(r^|x| e^(-g x^2)) for the factors, the weight e^(mu x) and
+    the theta factor in base q of _integrand.
 
-    The weight decays like e^(-k ln(1/|q|) x^2 / 2); a factor
+    theta decays like e^(-ln(1/|q|) x^2 / 2); a factor
     (b e^(lam x), a e^(-lam x); p)_inf, with s = -Re lam and
     alpha = s / ln(1/|p|), grows like e^(alpha s x^2 / 2).  The growth
     ratios are |z| e^(Re mu) prod_j |a_j|^alpha_j / |q| as x -> +inf and
@@ -231,7 +245,7 @@ def _decay(factors, q: complex, z: complex, k: int = 1,
     larger, at least 1/|q|, and inf if it overflows.
     """
     lnq, lnz = math.log(abs(q)), math.log(abs(z))
-    g = -0.5 * k * lnq
+    g = -0.5 * lnq
     up, down = lnz - lnq + mu.real, -lnz - mu.real
     for p, a, b, lam in factors:
         s = -lam.real
@@ -245,14 +259,23 @@ def _decay(factors, q: complex, z: complex, k: int = 1,
         return g, math.inf
 
 
+def _theta_den0(z: complex, q: complex) -> complex:
+    """den(0) = (-z, -q/z; q)_inf; 0 or a non-finite value is NoConvergence."""
+    with np.errstate(all="ignore"):  # a non-finite den(0) is typed below
+        den = qpoch_inf(-z, q) * qpoch_inf(-complex(q) / z, q)
+    if den == 0 or not cmath.isfinite(den):
+        raise NoConvergence(f"(-z, -q/z; q)_inf is {den:.3g} at z={z}")
+    return den
+
+
 def _symmetric_model(params: SeriesParams, mu: complex = 0.0):
     """(integrand, decay) of (b q^x, a q^-x; p)_inf e^(mu x)
     / (-z q^x, -q^(1-x)/z; q)_inf."""
-    q = complex(params.qp.q)
+    q, z = complex(params.qp.q), params.z
     factors = ((complex(params.qp.p), complex(params.a), complex(params.b),
                 cmath.log(q)),)
-    return (_integrand(factors, q, params.z, mu=mu),
-            _decay(factors, q, params.z, mu=mu))
+    return (_integrand(factors, q, z, 1.0 / _theta_den0(z, q), mu),
+            _decay(factors, q, z, mu))
 
 
 def _binomial_normalizer(a: float, p: complex) -> complex:
@@ -275,18 +298,16 @@ def _multibasic_model(params: MultibasicParams):
     / (-z q^x, -q^(1-x)/z; q)_inf.
 
     [a; b + alpha x]_p = (p^(b+1) p^(alpha x), p^(a-b+1) p^(-alpha x); p)_inf
-    / (p, p^(a+1); p)_inf.  The decay model takes unit coefficients: it
-    ignores the sizes of p^(b+1) and p^(a-b+1).
-    """
-    factors, unit, const = [], [], 1.0
+    / (p, p^(a+1); p)_inf."""
+    factors, const = [], 1.0
     for (p, a, b), alpha in zip(params.factors, params.alphas):
         pc = complex(p)
-        lam = alpha * cmath.log(pc)
-        factors.append((pc, _cpow(pc, a - b + 1.0), _cpow(pc, b + 1.0), lam))
-        unit.append((pc, 1.0, 1.0, lam))
+        factors.append((pc, _cpow(pc, a - b + 1.0), _cpow(pc, b + 1.0),
+                        alpha * cmath.log(pc)))
         const /= _binomial_normalizer(a, pc)
+    const /= _theta_den0(params.z, params.q)
     return (_integrand(factors, params.q, params.z, const),
-            _decay(unit, params.q, params.z))
+            _decay(factors, params.q, params.z))
 
 
 def base_integral(q: complex, eps: float) -> Side:
@@ -295,7 +316,7 @@ def base_integral(q: complex, eps: float) -> Side:
     qc = complex(q)
     if qc.imag != 0.0 or not 0.0 < qc.real < 1.0:
         raise InvalidParams(f"q must be real in (0, 1), got {q}")
-    scale = -cmath.log(qc)  # ln(1/q)
+    scale = -cmath.log(qc) / _theta_den0(1.0, qc)  # ln(1/q) / den(0)
     return integrate_gaussian_decay(_integrand((), qc, 1.0, scale),
                                     _decay((), qc, 1.0), eps)
 

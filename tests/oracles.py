@@ -27,6 +27,17 @@ MAIN_SERIES = {
     (0.2, 0.3, 1.0, 0.6, 0.3): 1.269362576916128687573,
     (0.2, 0.3, 0.5 + 0.5j, 0.6, 0.3):
         0.8893935168043562355678 + 0.08232990056452167364639j,
+    # p/q = 0.95: the theta denominator of its integrand overflows on the
+    # integral's window, but not on one period
+    (0.2, 0.3, 1.0, 0.3, 0.285): 0.6119254669902507987488,
+}
+
+# (q, p) -> main series at (a, b, z) = (0.2, 0.3, 1): boundary-band points
+# (small q, p/q near 0.9) whose theta denominator overflows the same way
+MAIN_EDGE = {
+    (0.075, 0.050625): -0.05456161804569304584746,
+    (0.175, 0.153125): 0.3612065563834538387483,
+    (0.275, 0.254375): 0.5755442958732861095743,
 }
 
 # (a, b, z, q, p) -> symmetric-form bilateral sum
@@ -64,6 +75,12 @@ MULTIBASIC_SERIES = {
     ((0.2, 2.0, 1.0), (0.3, 3.0, 1.0), (0.25, 1.5, 0.5)):
         0.0867954606980261145478,
     ((0.36, 2.0, 1.0), (0.3, 0.0, 0.0)): 0.08257071020899552350666,
+}
+
+# (factors, alpha_sum) -> multibasic sum at z = 1 whose window depends on
+# the sizes of the coefficients p_j^(b_j+1), p_j^(a_j-b_j+1)
+MULTIBASIC_ALPHA_SUM = {
+    (((0.2, 2.0, -5.0), (0.3, 3.0, 1.0)), 0.5): -1055193.395728335571512,
 }
 
 
@@ -127,6 +144,9 @@ def regenerate(dps: int = 50):
         out[("qgamma", x, q)] = mp.qgamma(mp.mpmathify(x), mp.mpmathify(q))
     for key in MAIN_SERIES:
         out[("main",) + key] = main_series(*map(mp.mpmathify, key))
+    for (q, p) in MAIN_EDGE:
+        out[("main_edge", q, p)] = main_series(
+            *map(mp.mpmathify, (0.2, 0.3, 1.0, q, p)))
     for key in SYMMETRIC_SERIES:
         out[("sym",) + key] = sym_series(*map(mp.mpmathify, key))
     for (a, b, q, p, m) in WEIGHTED_SERIES:
@@ -147,4 +167,8 @@ def regenerate(dps: int = 50):
         factors = [tuple(map(mp.mpmathify, f)) for f in key]
         out[("mb",) + key] = mb_series(
             factors, mb_q(factors, mp.mpf("0.8")), mp.mpf(1))
+    for key, alpha_sum in MULTIBASIC_ALPHA_SUM:
+        factors = [tuple(map(mp.mpmathify, f)) for f in key]
+        out[("mb_alpha_sum", key, alpha_sum)] = mb_series(
+            factors, mb_q(factors, mp.mpmathify(alpha_sum)), mp.mpf(1))
     return out

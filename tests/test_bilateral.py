@@ -75,6 +75,12 @@ class TestMainSeries:
         ev = main_series(_sp(a, b, z, q, p), series_eps)
         assert rel_err(ev.value, MAIN_SERIES[key]) < 1e-14
 
+    def test_underflowing_weight_is_not_a_value(self, series_eps):
+        # From n = 23 on q^(n(n-1)/2) alone underflows while the terms do
+        # not vanish; zeroed terms would stop the sum 2.0% off mpmath.
+        with pytest.raises(NoConvergence, match="term overflow"):
+            main_series(_sp(0.2, 0.3, 2.0, 0.05, 0.04), series_eps)
+
     def test_trivial_numerator_is_theta(self, series_eps):
         # a = b = 0 collapses every product factor to 1
         from qsinc import theta_product

@@ -20,7 +20,13 @@ from qsinc.identities import _IDENTITIES, DEFAULT_TOL, expand_grid
 from qsinc.qcore import SIDE_METHODS, Side
 
 from conftest import rel_err
-from oracles import APPELL_LERCH, MULTIBASIC_SERIES
+from oracles import (
+    APPELL_LERCH,
+    MAIN_EDGE,
+    MAIN_SERIES,
+    MULTIBASIC_ALPHA_SUM,
+    MULTIBASIC_SERIES,
+)
 
 _POINTS = {
     IdentityId.Main: {"a": 0.2, "b": 0.3, "z": 1.0, "q": 0.6, "p": 0.3},
@@ -250,15 +256,64 @@ class TestVerify:
             "NoConvergence: (p, p^(a+1); p)_inf underflows to 0")
 
     def test_overflowing_integrand_fails_without_warnings(self):
-        # The integrand overflows to inf/inf; the first non-finite sample
-        # fails the integral, and numpy must not warn on the way.
+        # The numerator (b q^x, a q^-x; p)_inf overflows on the integral's
+        # window; the first non-finite sample fails the integral, and numpy
+        # must not warn on the way.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = verify(IdentityId.Main, {"a": 0.2, "b": 0.3, "z": 1.0,
-                                              "q": 0.3, "p": 0.285})
+                                              "q": 0.075, "p": 0.062})
         assert not report.passed
         assert report.lhs_diag["status"] == "inconclusive"
-        assert report.lhs_diag["reason"].startswith("QuadratureFailure")
+        assert report.lhs_diag["reason"].startswith(
+            "QuadratureFailure: non-finite integrand sample")
+
+    def test_theta_overflow_point_verifies(self):
+        # den(x) overflows on the integral's window; theta on one period
+        # stays finite.
+        report = verify(IdentityId.Main, {"a": 0.2, "b": 0.3, "z": 1.0,
+                                          "q": 0.3, "p": 0.285})
+        assert report.passed
+        expected = MAIN_SERIES[(0.2, 0.3, 1.0, 0.3, 0.285)]
+        assert rel_err(report.lhs, expected) < 1e-14
+        assert rel_err(report.rhs, expected) < 1e-14
+
+    @pytest.mark.parametrize("key", sorted(MAIN_EDGE))
+    def test_former_edge_failures_verify(self, key):
+        # boundary-band points where den(x) overflows on the window
+        q, p = key
+        report = verify(IdentityId.Main, {"a": 0.2, "b": 0.3, "z": 1.0,
+                                          "q": q, "p": p})
+        assert report.passed
+        assert rel_err(report.lhs, MAIN_EDGE[key]) < 1e-12
+        assert rel_err(report.rhs, MAIN_EDGE[key]) < 1e-12
+
+    def test_multibasic_window_reads_the_coefficients(self):
+        # b1 = -5 makes p1^(b1+1) large, which widens the window; with unit
+        # coefficients the window is too short ("decay model is too fast").
+        (factors, alpha_sum), = MULTIBASIC_ALPHA_SUM
+        params = {"alpha_sum": alpha_sum}
+        for j, (p, a, b) in enumerate(factors, 1):
+            params.update({f"p{j}": p, f"a{j}": a, f"b{j}": b})
+        report = verify(IdentityId.Multibasic, params)
+        assert report.passed
+        expected = MULTIBASIC_ALPHA_SUM[(factors, alpha_sum)]
+        assert rel_err(report.lhs, expected) < 1e-13
+        assert rel_err(report.rhs, expected) < 1e-13
+
+    def test_underflowing_weight_is_not_a_pass(self):
+        # Near |n| = 30 q^(n(n-1)/2) alone underflows while z^n does not;
+        # zeroed terms there stop the sum at -80.43 with a tail of 0, where
+        # mpmath gives -0.15166528347191684.  The whole weight stays finite
+        # and the products overflow, so the point is inconclusive.
+        report = verify(IdentityId.FunctionalEq1, {
+            "a": 0.4365087893951871, "b": 0.9660048576866924,
+            "z": 2.497511496595063, "q": 0.17136985202096033,
+            "p": 0.15169582332197742})
+        assert not report.passed
+        assert report.lhs_diag["status"] == "inconclusive"
+        assert report.lhs_diag["reason"].startswith(
+            "NoConvergence: term overflow")
 
     def test_elapsed_recorded(self):
         report = verify(IdentityId.TripleProduct, {"z": 0.8, "q": 0.5})

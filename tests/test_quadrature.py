@@ -39,7 +39,7 @@ from qsinc import (
 )
 from qsinc.errors import InvalidDecay
 from qsinc import quadrature
-from qsinc.quadrature import _CHUNK, MAX_NODES, _decay
+from qsinc.quadrature import _CHUNK, MAX_NODES, _decay, _symmetric_model
 
 from conftest import rel_err
 from oracles import MULTIBASIC_SERIES, WEIGHTED_SERIES
@@ -199,17 +199,40 @@ class TestDecayModel:
         assert r == pytest.approx(r_ref, rel=1e-14)
 
     def test_weight_order_and_exponential(self):
-        # No factors: the theta sum, and Bailey's order-2 weight; e^(mu x)
-        # moves the ratio at +inf by e^(Re mu) and at -inf by e^(-Re mu).
+        # No factors: the theta sum, and Bailey's weight q^(n(n-1)), which is
+        # theta in base q^2; e^(mu x) moves the ratio at +inf by e^(Re mu)
+        # and at -inf by e^(-Re mu).
         q, z = 0.5, 3.0
         assert _decay((), q, z) == pytest.approx((0.5 * math.log(2), 6.0))
-        assert _decay((), q, z, k=2)[0] == pytest.approx(math.log(2))
+        assert _decay((), q * q, z)[0] == pytest.approx(math.log(2))
         mu = 3 * cmath.log(q)  # the weight q^(3x)
         assert _decay((), q, z, mu=mu)[1] == pytest.approx(8.0 / 3.0)
         assert _decay((), q, 0.1, mu=mu)[1] == pytest.approx(80.0)
 
     def test_overflowing_ratio_is_infinite(self):
         assert _decay((), 0.5, 1.0, mu=-1e4 * math.log(2))[1] == math.inf
+
+
+class TestIntegrand:
+    # The integrand routine takes theta on one period; the direct ratio
+    # e^(mu x) (b q^x, a q^-x; p)_inf / (-z q^x, -q^(1-x)/z; q)_inf,
+    # product by product, is the reference.
+    @pytest.mark.parametrize("a, b, z, q, p, mu", [
+        (0.2, 0.3, 1.5, 0.6, 0.3, 0.0),
+        (-0.4, 0.35, 0.8 + 0.9j, 0.5, 0.2, 0.0),
+        (0.1, 0.2, 1.0, 0.5, 0.2, -3 * math.log(0.5)),
+        (0.1, 0.2, 1.0, 0.5, 0.2, 2.5j)],
+        ids=["real-z", "complex-z", "weight-q^mx", "fourier-e^iyx"])
+    def test_matches_the_direct_ratio(self, a, b, z, q, p, mu):
+        f, _ = _symmetric_model(_sp(a, b, z, q, p), mu)
+        lattice = (np.arange(-36, 36) + 1.0 / 3.0) / 6.0
+        for x in (lattice, np.arange(-6.0, 7.0)):
+            ref = np.array([
+                cmath.exp(mu * t) * qpoch_inf(b * q ** t, p)
+                * qpoch_inf(a * q ** -t, p)
+                / (qpoch_inf(-z * q ** t, q) * qpoch_inf(-q ** (1 - t) / z, q))
+                for t in x])
+            assert np.max(np.abs(f(x) - ref) / np.abs(ref)) < 1e-13
 
 
 class TestBaseIntegral:
