@@ -36,6 +36,8 @@ POLE_TOL = 1e-13
 PRODUCT_EPS = 1e-16
 PRODUCT_MAX_FACTORS = 2_000_000
 
+_BLOCK = 2 ** 14  # elements per column block of qpoch_inf_vec's matrix
+
 # Term budget of every bilateral sum.
 SERIES_MAX_TERMS = 1_000_000
 
@@ -229,19 +231,28 @@ def qpoch_inf_vec(a: np.ndarray, q: complex) -> np.ndarray:
     All elements share the factor count _tail_index(max |a_i|, PRODUCT_EPS):
     the tail bound grows with |a|, so that count certifies every element.
     Non-finite arguments do not enter the count; at least one factor is
-    taken, so their products are non-finite.
+    taken, so their products are non-finite.  The result is float64 when q
+    and every argument are real, else complex.  The factor-by-argument
+    matrix is formed in place in column blocks of at most _BLOCK elements.
     """
     aq = abs(q)
     if aq >= 1.0:
         raise InvalidBase(f"|q| must be < 1, got {aq}")
-    a = np.asarray(a, dtype=complex)
-    amax = float(np.max(np.abs(a), initial=0.0, where=np.isfinite(a)))
+    a, q = np.asarray(a), complex(q)
+    real = q.imag == 0.0 and not np.imag(a).any()
+    a, q = (a.real.astype(float), q.real) if real else (a.astype(complex), q)
+    amax = float(np.abs(a[np.isfinite(a)]).max(initial=0.0))
     k = max(1, _tail_index(amax, aq, PRODUCT_EPS))
     if k > PRODUCT_MAX_FACTORS:
         raise NoConvergence(
             f"(a;q)_inf needs {k} factors, budget is {PRODUCT_MAX_FACTORS}")
-    powers = np.power(complex(q), np.arange(k))
-    return np.prod(1.0 - a[..., None] * powers, axis=-1)
+    powers = np.power(q, np.arange(k))
+    out = np.empty(a.shape, a.dtype)
+    flat, res, cols = a.reshape(-1), out.reshape(-1), max(1, _BLOCK // k)
+    for lo in range(0, flat.size, cols):
+        m = np.multiply.outer(powers, flat[lo:lo + cols])
+        np.prod(np.subtract(1.0, m, out=m), axis=0, out=res[lo:lo + cols])
+    return out
 
 
 def qpoch_inf(a: complex, q: complex) -> complex:

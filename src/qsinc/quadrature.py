@@ -14,10 +14,10 @@ between 1/3 and 2/3 and so never reach an integer: the two sides share
 code but no samples.  For such integrands the refined trapezoid rule on a
 truncated window converges spectrally, so the rule starts coarse, at 2
 nodes per unit, and the error estimate is the difference of the last two
-refinement levels.  Every node is sampled once: the first level's two
-outermost samples certify that the truncation is negligible.  Each level is
-sampled in chunks of _CHUNK nodes, so the node-by-factor matrices of the
-products stay small, and one integral may use at most MAX_NODES nodes: a
+refinement levels.  Every node is sampled once; the first two levels are
+one lattice, sampled in one pass, and the first level's two outermost
+samples certify that the truncation is negligible.  Each pass is sampled in
+chunks of _CHUNK nodes, and one integral may use at most MAX_NODES nodes: a
 level past that budget fails before its nodes are built.
 """
 
@@ -48,7 +48,7 @@ from .qcore import (
     _has_zero_factor,
     _vanishing_factor,
     qpoch_inf,
-    qpoch_inf_large,
+    qpoch_inf_large,  # unused here; perfbench/tracing.py binds it
     qpoch_inf_vec,
 )
 from .util import fsum_complex
@@ -82,13 +82,14 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
     values; it is called on at most _CHUNK nodes at a time.  decay = (g, r)
     with g > 0 in natural-log units.  The first level has nodes_per_unit
     nodes per unit (at least 2); each refinement halves the spacing until
-    two levels agree to eps.  No node is an integer, so the integral never
-    samples the series' lattice.  Every sample enters the value, so the
-    first non-finite one raises QuadratureFailure.  So does a first level
-    whose outermost samples exceed eps/10 (the window does not contain the
-    integrand: the decay model is too fast), a window that is not finite,
-    and a level that would take the integral past MAX_NODES, before any of
-    its nodes is built.
+    two levels agree to eps.  The first two levels are one lattice of twice
+    that density, sampled in one pass; its even nodes are the first level.
+    No node is an integer, so the integral never samples the series'
+    lattice.  Every sample enters the value, so the first non-finite one
+    raises QuadratureFailure.  So does a first level whose outermost
+    samples exceed eps/10 (the window does not contain the integrand: the
+    decay model is too fast), a window that is not finite, and a level that
+    would take the integral past MAX_NODES, before any node is built.
     """
     _check_eps(eps)
     if nodes_per_unit < 2:
@@ -114,41 +115,46 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
     if not math.isfinite(z / h):
         raise QuadratureFailure(
             f"decay model (g, r) = ({g:.6g}, {r:.6g}) gives no finite window")
-    # A level's nodes are step (k + off/3 + mid), k0 <= k < k1: first
-    # h (k + 1/3), |k| <= npts, then the midpoints, which turn offset 1 into
-    # 2 and 2 into 1 at half the spacing.  Counted before they are built.
-    off = 1
-    npts = math.ceil(z / h)
-    grid = (h, -npts, npts + 1, off / 3, 0.0)
-    total, nodes = 0j, 0
     value = prev = None
-    for level in itertools.count():
-        step, k0, k1, shift, mid = grid
-        if nodes + k1 - k0 > MAX_NODES:
+
+    def check_budget(level: int, count: int) -> None:
+        if count > MAX_NODES:
             last = ("no estimate yet" if prev is None else
                     f"last estimate {value:.17g} changed by "
                     f"{abs(value - prev):.2e}")
             raise QuadratureFailure(
-                f"level {level} needs {nodes + k1 - k0:.3g} nodes, above "
+                f"level {level} needs {count:.3g} nodes, above "
                 f"max_nodes={MAX_NODES}; {last}")
-        v = sample(step * (np.arange(k0, k1) + shift + mid))
-        edge = max(abs(v[0]), abs(v[-1]))
-        if level == 0 and edge > eps / 10.0:  # truncation certificate
-            raise QuadratureFailure(
-                f"window edge sample |f|={edge:.2e} > eps/10 on the window "
-                f"|x| <= {z:.6g}; the decay model is too fast")
+
+    # Levels 0 and 1 are the lattice (h/2)(j + 2/3), |j| <= 2 npts: level 0
+    # is its even j, h (k + 1/3).  Each later level is the midpoints
+    # h (k + off/3 + 1/2), -npts <= k < npts, of the rule at spacing h; they
+    # turn offset 1 into 2 and 2 into 1.  Each is counted before it is built.
+    npts = math.ceil(z / h)
+    check_budget(0, 2 * npts + 1)
+    check_budget(1, 4 * npts + 1)
+    v = sample(h / 2 * (np.arange(-2 * npts, 2 * npts + 1) + 2 / 3))
+    edge = max(abs(v[0]), abs(v[-1]))
+    if edge > eps / 10.0:  # truncation certificate
+        raise QuadratureFailure(
+            f"window edge sample |f|={edge:.2e} > eps/10 on the window "
+            f"|x| <= {z:.6g}; the decay model is too fast")
+    total = fsum_complex(v[0::2])
+    value, total = h * total, total + fsum_complex(v[1::2])
+    nodes, off = v.size, 2
+    for level in itertools.count(1):
+        h /= 2.0
+        prev, value = value, h * total
+        err = abs(value - prev)
+        if err <= eps * max(1.0, abs(value)):
+            return Side(value, "trapezoid", nodes_used=nodes,
+                        half_width_used=z, refinements_used=level - 1,
+                        error_estimate=err)
+        npts *= 2
+        check_budget(level + 1, nodes + 2 * npts)
+        v = sample(h * (np.arange(-npts, npts) + off / 3 + 0.5))
         total += fsum_complex(v)
         nodes += v.size
-        prev, value = value, h * total
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= eps * max(1.0, abs(value)):
-                return Side(value, "trapezoid", nodes_used=nodes,
-                            half_width_used=z, refinements_used=level - 1,
-                            error_estimate=err)
-        grid = (h, -npts, npts, off / 3, 0.5)
-        h /= 2.0
-        npts *= 2
         off = 2 * off % 3
 
 
@@ -221,7 +227,8 @@ def _integrand(factors, q: complex, z: complex, const: complex = 1.0,
             _, first, cls = np.unique(np.round(x0, 12), return_index=True,
                                       return_inverse=True)
             zq = np.exp(lnz + np.append(0.0, x0[first]) * lnq)
-            den = qpoch_inf_vec(-zq, q) * qpoch_inf_vec(-q / zq, q)
+            den = np.prod(qpoch_inf_vec(np.stack((-zq, -q / zq)), q), 0)
+            den[np.isinf(den)] = np.nan  # a real den(0) / inf would be 0
             v = v * (den[0] / den[1:])[cls]
         out = np.zeros(w.shape, dtype=complex)
         out[live] = v * np.exp(w[live])
@@ -262,7 +269,8 @@ def _decay(factors, q: complex, z: complex,
 def _theta_den0(z: complex, q: complex) -> complex:
     """den(0) = (-z, -q/z; q)_inf; 0 or a non-finite value is NoConvergence."""
     with np.errstate(all="ignore"):  # a non-finite den(0) is typed below
-        den = qpoch_inf(-z, q) * qpoch_inf(-complex(q) / z, q)
+        den = complex(np.prod(qpoch_inf_vec(
+            np.array([-z, -complex(q) / z]), q)))
     if den == 0 or not cmath.isfinite(den):
         raise NoConvergence(f"(-z, -q/z; q)_inf is {den:.3g} at z={z}")
     return den
@@ -330,8 +338,7 @@ def main_integral(params: SeriesParams, eps: float) -> Side:
     z = complex(params.z)
     if z.real <= 0.0:
         raise DomainError(f"Re z must be positive, got z={z}")
-    qc = complex(params.qp.q)
-    pref = qpoch_inf_large(-z, qc) * qpoch_inf_large(-qc / z, qc)
+    pref = _theta_den0(z, params.qp.q)
     mapped = replace(params, a=params.a * z, b=params.b / z, z=1.0)
     return integrate_gaussian_decay(*_symmetric_model(mapped),
                                     eps).scaled(pref)

@@ -268,6 +268,19 @@ class TestVerify:
         assert report.lhs_diag["reason"].startswith(
             "QuadratureFailure: non-finite integrand sample")
 
+    def test_infinite_theta_prefactor_fails_without_warnings(self):
+        # At q = .999, den(0) = (-z, -q/z; q)_inf overflows; main_integral's
+        # prefactor is typed, and numpy must not warn on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify(IdentityId.Main, {
+                "a": 0.2, "b": 0.3, "z": 1.0, "q": 0.999, "p": 0.4995,
+                "allow_extreme": True})
+        assert not report.passed
+        assert report.lhs_diag["status"] == "inconclusive"
+        assert report.lhs_diag["reason"].startswith(
+            "NoConvergence: (-z, -q/z; q)_inf is inf")
+
     def test_theta_overflow_point_verifies(self):
         # den(x) overflows on the integral's window; theta on one period
         # stays finite.

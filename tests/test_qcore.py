@@ -87,6 +87,61 @@ class TestQpoch:
         assert not np.isfinite(vec[:2]).any()
         assert rel_err(vec[2], qpoch_inf(0.3, 0.5)) < 1e-12
 
+    @pytest.mark.parametrize("args, q, dtype", [
+        ([0.3, -0.7, 2.4], 0.5, float),
+        ([0.3 + 0j, -0.7 + 0j], 0.5 + 0j, float),  # zero imaginary parts
+        ([0.3, -0.7 + 0.1j], 0.5, complex), ([0.3, 2.4], 0.5j, complex)])
+    def test_real_path_exactly_when_all_is_real(self, args, q, dtype):
+        import mpmath as mp
+        import numpy as np
+
+        vec = qpoch_inf_vec(np.array(args), q)
+        assert vec.dtype == dtype
+        for arg, value in zip(args, vec):
+            assert rel_err(value, complex(mp.qp(arg, q))) < 1e-14
+
+    @pytest.mark.parametrize("last", [0.3, 0.3 + 0.1j])
+    def test_nonfinite_arguments_on_both_paths(self, last):
+        import numpy as np
+
+        with np.errstate(invalid="ignore"):
+            vec = qpoch_inf_vec(np.array([np.inf, -np.inf, np.nan, last]),
+                                0.5)
+        assert vec.dtype == np.asarray(last).dtype
+        assert not np.isfinite(vec[:3]).any()
+        assert rel_err(vec[3], qpoch_inf(last, 0.5)) < 1e-15
+
+    @pytest.mark.parametrize("phase", [1.0, cmath.exp(0.4j)])
+    def test_blocks_match_the_scalar_values(self, phase):
+        # |a| up to 30 at q = .95 takes about 800 factors, so 200 arguments
+        # span about ten column blocks.
+        import numpy as np
+
+        from qsinc.qcore import _BLOCK, PRODUCT_EPS, _tail_index
+
+        args = phase * np.linspace(-30.0, 30.0, 200)
+        assert args.size * _tail_index(30.0, 0.95, PRODUCT_EPS) > 8 * _BLOCK
+        vec = qpoch_inf_vec(args, 0.95)
+        for arg, value in zip(args, vec):
+            assert rel_err(value, qpoch_inf(arg, 0.95)) < 1e-13
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.95])
+    def test_real_path_is_no_less_accurate(self, q):
+        # Against 40-digit mpmath values at seeded real arguments; a
+        # 1e-200 imaginary part takes the same values down the complex path.
+        import mpmath as mp
+        import numpy as np
+
+        rng = np.random.default_rng(5)
+        args = rng.choice([-1.0, 1.0], 20) * 10.0 ** rng.uniform(-3, 3, 20)
+        with mp.workdps(40):
+            ref = [complex(mp.qp(mp.mpf(a), mp.mpf(q))) for a in args]
+        real = qpoch_inf_vec(args, q)
+        cplx = qpoch_inf_vec(args + 1e-200j, q)
+        assert (real.dtype, cplx.dtype) == (np.float64, complex)
+        assert (max(map(rel_err, real, ref))
+                <= max(map(rel_err, cplx, ref)))
+
     def test_argument_near_the_largest_float(self):
         # eps (1 - |q|) / (2|a|) underflows to 0 here; the factor count must
         # not take its log, and the product overflows instead.

@@ -119,20 +119,19 @@ class TestGaussianDecay:
         assert len(sizes) == 1  # the first level
 
     def test_infinities_of_both_signs_fail_typed(self):
-        # inf + (-inf) in the first refinement: QuadratureFailure, not the
-        # ValueError of math.fsum.
+        # inf + (-inf) in the first refinement, the odd nodes of the first
+        # call: QuadratureFailure, not the ValueError of math.fsum.
         calls = []
 
         def f(x):
             calls.append(x.size)
             v = np.exp(-x * x).astype(complex)
-            if len(calls) == 2:
-                v[:2] = [np.inf, -np.inf]
+            v[1], v[3] = np.inf, -np.inf
             return v
 
         with pytest.raises(QuadratureFailure, match="non-finite"):
             integrate_gaussian_decay(f, (1.0, 1.0), 1e-10)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_node_budget_caps_an_integral(self, quad_eps):
         # Seeded 1e-8 noise keeps successive levels about 1e-7 / sqrt(nodes)
@@ -291,6 +290,36 @@ class TestSymmetricIntegral:
     def test_negative_axis_rejected(self, quad_eps):
         with pytest.raises(InvalidParams):
             symmetric_integral(_sp(0.1, 0.2, -0.7, 0.5, 0.2), quad_eps)
+
+    def test_one_integrand_call_and_four_products(self, monkeypatch):
+        # Levels 0 and 1 are one lattice, so an integral that stops at the
+        # first comparison calls its integrand once.  That call takes two
+        # numerator products and one for den's pair; den(0) takes one more.
+        calls = {"integrand": 0, "vec": 0}
+        make, vec = quadrature._integrand, quadrature.qpoch_inf_vec
+
+        def integrand(*args):
+            f = make(*args)
+
+            def counted(x):
+                calls["integrand"] += 1
+                return f(x)
+            return counted
+
+        def counted_vec(a, q):
+            calls["vec"] += 1
+            return vec(a, q)
+
+        monkeypatch.setattr(quadrature, "_integrand", integrand)
+        monkeypatch.setattr(quadrature, "qpoch_inf_vec", counted_vec)
+        monkeypatch.setattr(quadrature, "qpoch_inf", self._no_scalar)
+        res = symmetric_integral(_sp(0.1, 0.2, 1.0, 0.5, 0.2), 1e-10)
+        assert (res.nodes_used, res.refinements_used) == (137, 0)
+        assert calls["integrand"] == 1
+        assert calls["vec"] <= 4
+
+    def _no_scalar(self, a, q):
+        raise AssertionError("a scalar product call")
 
     def test_hard_point_fails_typed_and_fast(self, monkeypatch):
         # z near the negative axis puts the denominator's zeros near R, so
