@@ -232,8 +232,9 @@ def qpoch_inf_vec(a: np.ndarray, q: complex) -> np.ndarray:
     the tail bound grows with |a|, so that count certifies every element.
     Non-finite arguments do not enter the count; at least one factor is
     taken, so their products are non-finite.  The result is float64 when q
-    and every argument are real, else complex.  The factor-by-argument
-    matrix is formed in place in column blocks of at most _BLOCK elements.
+    and every argument are real, else complex.  The k-factor-by-argument
+    matrix is formed in place in column blocks of at most max(_BLOCK, k)
+    elements: one column when k > _BLOCK, as near |q| = 1.
     """
     aq = abs(q)
     if aq >= 1.0:

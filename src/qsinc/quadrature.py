@@ -16,9 +16,9 @@ truncated window converges spectrally, so the rule starts coarse, at 2
 nodes per unit, and the error estimate is the difference of the last two
 refinement levels.  Every node is sampled once; the first two levels are
 one lattice, sampled in one pass, and the first level's two outermost
-samples certify that the truncation is negligible.  Each pass is sampled in
-chunks of _CHUNK nodes, and one integral may use at most MAX_NODES nodes: a
-level past that budget fails before its nodes are built.
+samples certify that the truncation is negligible.  Each pass is one
+integrand call, and one integral may use at most MAX_NODES nodes: a level
+past that budget fails before its nodes are built.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ from .util import fsum_complex
 # constants the asymptotic decay estimates leave implicit.
 _RADIUS_SAFETY = 1.25
 
-# Nodes per integrand call: bounds the node-by-factor matrix of each
-# vectorized product, however large the level.
-_CHUNK = 512
-
 # Node budget of one integral: a level that would exceed it raises
 # QuadratureFailure instead of being sampled.
 MAX_NODES = 2 ** 18
@@ -79,17 +75,18 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
     """Integrate f over R given the decay model |f| = O(r^|x| e^(-g x^2)).
 
     integrand must accept a numpy array of real nodes and return complex
-    values; it is called on at most _CHUNK nodes at a time.  decay = (g, r)
-    with g > 0 in natural-log units.  The first level has nodes_per_unit
-    nodes per unit (at least 2); each refinement halves the spacing until
-    two levels agree to eps.  The first two levels are one lattice of twice
-    that density, sampled in one pass; its even nodes are the first level.
-    No node is an integer, so the integral never samples the series'
-    lattice.  Every sample enters the value, so the first non-finite one
-    raises QuadratureFailure.  So does a first level whose outermost
-    samples exceed eps/10 (the window does not contain the integrand: the
-    decay model is too fast), a window that is not finite, and a level that
-    would take the integral past MAX_NODES, before any node is built.
+    values; it is called once per pass, on all of that pass's nodes.
+    decay = (g, r) with g > 0 in natural-log units.  The first level has
+    nodes_per_unit nodes per unit (at least 2); each refinement halves the
+    spacing until two levels agree to eps.  The first two levels are one
+    lattice of twice that density, sampled in one pass; its even nodes are
+    the first level.  No node is an integer, so the integral never samples
+    the series' lattice.  Every sample enters the value, so the first
+    non-finite one raises QuadratureFailure.  So does a first level whose
+    outermost samples exceed eps/10 (the window does not contain the
+    integrand: the decay model is too fast), a window that is not finite,
+    and a level that would take the integral past MAX_NODES, before any
+    node is built.
     """
     _check_eps(eps)
     if nodes_per_unit < 2:
@@ -99,16 +96,13 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
         raise InvalidDecay(f"Gaussian rate must be positive, got {g}")
 
     def sample(x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.size, dtype=complex)
-        for lo in range(0, x.size, _CHUNK):
-            with np.errstate(all="ignore"):
-                v = np.asarray(integrand(x[lo:lo + _CHUNK]), dtype=complex)
-            bad = np.flatnonzero(~np.isfinite(v))
-            if bad.size:
-                raise QuadratureFailure(
-                    f"non-finite integrand sample at x={x[lo + bad[0]]:.17g}")
-            out[lo:lo + _CHUNK] = v
-        return out
+        with np.errstate(all="ignore"):
+            v = np.asarray(integrand(x), dtype=complex)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise QuadratureFailure(
+                f"non-finite integrand sample at x={x[bad[0]]:.17g}")
+        return v
 
     z = _RADIUS_SAFETY * _decay_radius(decay, eps / 10.0)
     h = 1.0 / nodes_per_unit
@@ -269,8 +263,7 @@ def _decay(factors, q: complex, z: complex,
 def _theta_den0(z: complex, q: complex) -> complex:
     """den(0) = (-z, -q/z; q)_inf; 0 or a non-finite value is NoConvergence."""
     with np.errstate(all="ignore"):  # a non-finite den(0) is typed below
-        den = complex(np.prod(qpoch_inf_vec(
-            np.array([-z, -complex(q) / z]), q)))
+        den = qpoch_inf(-z, q) * qpoch_inf(-complex(q) / z, q)
     if den == 0 or not cmath.isfinite(den):
         raise NoConvergence(f"(-z, -q/z; q)_inf is {den:.3g} at z={z}")
     return den

@@ -125,6 +125,26 @@ class TestQpoch:
         for arg, value in zip(args, vec):
             assert rel_err(value, qpoch_inf(arg, 0.95)) < 1e-13
 
+    @pytest.mark.parametrize("args", [[0.3, -0.5], [0.3, 0.2 + 0.4j]])
+    def test_one_column_blocks_near_q_one(self, args):
+        # At q = .999 the products take about 44,000 factors, more than
+        # _BLOCK, so each block is one column.  Reference, for |a| < 1:
+        # (a;q)_inf = exp(-sum_k a^k / (k (1 - q^k))), at 30 digits.
+        import mpmath as mp
+        import numpy as np
+
+        from qsinc.qcore import _BLOCK, PRODUCT_EPS, _tail_index
+
+        assert _tail_index(0.3, 0.999, PRODUCT_EPS) > _BLOCK
+        vec = qpoch_inf_vec(np.array(args), 0.999)
+        with mp.workdps(30):
+            q = mp.mpf("0.999")
+            for arg, value in zip(args, vec):
+                a = mp.mpmathify(arg)
+                ref = mp.exp(-mp.fsum(a ** k / (k * (1 - q ** k))
+                                      for k in range(1, 400)))
+                assert rel_err(value, complex(ref)) < 1e-11
+
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.95])
     def test_real_path_is_no_less_accurate(self, q):
         # Against 40-digit mpmath values at seeded real arguments; a

@@ -39,7 +39,7 @@ from qsinc import (
 )
 from qsinc.errors import InvalidDecay
 from qsinc import quadrature
-from qsinc.quadrature import _CHUNK, MAX_NODES, _decay, _symmetric_model
+from qsinc.quadrature import MAX_NODES, _decay, _symmetric_model
 
 from conftest import rel_err
 from oracles import MULTIBASIC_SERIES, WEIGHTED_SERIES
@@ -149,8 +149,11 @@ class TestGaussianDecay:
         with pytest.raises(QuadratureFailure,
                            match=r"max_nodes=262144; last estimate"):
             integrate_gaussian_decay(f, (1.0, 1.0), quad_eps)
-        assert max(sizes) <= _CHUNK
-        assert sum(sizes) <= MAX_NODES
+        # One call per pass: the first two levels' lattice, 4 npts + 1
+        # nodes, then each level's midpoints, twice as many as the last.
+        assert sizes[1] == sizes[0] - 1
+        assert sizes[2:] == [2 * n for n in sizes[1:-1]]
+        assert sum(sizes) <= MAX_NODES < sum(sizes) + 2 * sizes[-1]
 
     def test_node_density_validation(self):
         with pytest.raises(InvalidParams, match="nodes_per_unit"):
@@ -291,12 +294,14 @@ class TestSymmetricIntegral:
         with pytest.raises(InvalidParams):
             symmetric_integral(_sp(0.1, 0.2, -0.7, 0.5, 0.2), quad_eps)
 
-    def test_one_integrand_call_and_four_products(self, monkeypatch):
+    def test_one_integrand_call_and_three_vector_products(self, monkeypatch):
         # Levels 0 and 1 are one lattice, so an integral that stops at the
         # first comparison calls its integrand once.  That call takes two
-        # numerator products and one for den's pair; den(0) takes one more.
-        calls = {"integrand": 0, "vec": 0}
-        make, vec = quadrature._integrand, quadrature.qpoch_inf_vec
+        # numerator products and one for den's pair; den(0) takes two
+        # scalar products.
+        calls = {"integrand": 0, "vec": 0, "scalar": 0}
+        make = quadrature._integrand
+        vec, scalar = quadrature.qpoch_inf_vec, quadrature.qpoch_inf
 
         def integrand(*args):
             f = make(*args)
@@ -306,20 +311,19 @@ class TestSymmetricIntegral:
                 return f(x)
             return counted
 
-        def counted_vec(a, q):
-            calls["vec"] += 1
-            return vec(a, q)
+        def counted(name, fn):
+            def wrapper(a, q):
+                calls[name] += 1
+                return fn(a, q)
+            return wrapper
 
         monkeypatch.setattr(quadrature, "_integrand", integrand)
-        monkeypatch.setattr(quadrature, "qpoch_inf_vec", counted_vec)
-        monkeypatch.setattr(quadrature, "qpoch_inf", self._no_scalar)
+        monkeypatch.setattr(quadrature, "qpoch_inf_vec", counted("vec", vec))
+        monkeypatch.setattr(quadrature, "qpoch_inf",
+                            counted("scalar", scalar))
         res = symmetric_integral(_sp(0.1, 0.2, 1.0, 0.5, 0.2), 1e-10)
         assert (res.nodes_used, res.refinements_used) == (137, 0)
-        assert calls["integrand"] == 1
-        assert calls["vec"] <= 4
-
-    def _no_scalar(self, a, q):
-        raise AssertionError("a scalar product call")
+        assert calls == {"integrand": 1, "vec": 3, "scalar": 2}
 
     def test_hard_point_fails_typed_and_fast(self, monkeypatch):
         # z near the negative axis puts the denominator's zeros near R, so
