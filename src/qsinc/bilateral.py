@@ -4,10 +4,10 @@ Every sum here runs over all integers n with super-exponential term decay
 q^{(1-alpha) n^2 / 2} (or faster).  A term model is a vectorized function of
 an integer array together with its decay (g, r), both from quadrature's one
 term and one decay routine: the product series (main, Bailey, the triple
-product) build theirs with _product_model, at const = 1.  _sum_pairs evaluates
-a window n in [-N, N] at once, finds the stop index from the decay radius
-and an empirical three-small-pairs rule, and sums the terms up to it exactly
-(fsum).
+product) build theirs with _product_model, at const = 1.  _sum_pairs is the
+lattice rule at h = 1: it samples the window n in [-N, N] that the decay
+model sets, once, certifies it by its two end terms and sums it exactly
+(fsum), with the window routine of the integrals.
 """
 
 from __future__ import annotations
@@ -34,60 +34,36 @@ from .qcore import (
 from .quadrature import (
     _check_denominator,
     _decay,
-    _decay_radius,
     _integrand,
     _multibasic_model,
     _symmetric_model,
+    _window,
 )
-from .util import fsum_complex
 
 
 def _sum_pairs(term: Callable[[np.ndarray], np.ndarray],
                decay: tuple[float, float], eps: float,
                n_min: int = 0) -> Side:
-    """Sum term(n) over n in Z as a window [-N, N] of the integer lattice.
+    """Sum term(n) over n in Z: the lattice rule at h = 1 and offset 0.
 
-    term maps an integer array to its terms.  The sum stops at the first
-    n >= max(n_min, 4, decay radius for eps) where three consecutive pairs
-    (n, -n) each have |t(n)| + |t(-n)| <= eps max(1, |partial sum through
-    n|).  The window doubles until it holds that stop.  A non-finite term
-    before it, or a stop beyond SERIES_MAX_TERMS, raises NoConvergence; a
-    decay radius beyond it (or not finite) does so before any term is
-    evaluated.
+    term maps an integer array to its terms.  _window samples the window
+    n in [-N, N], N = max(ceil(Z), n_min), once; the sum is exact (fsum)
+    and the larger end term is the tail estimate.  A window past
+    SERIES_MAX_TERMS, before any term is evaluated, and the failures of
+    _window raise NoConvergence.
     """
     _check_eps(eps)
-    radius = _decay_radius(decay, eps)
-    n_max = (SERIES_MAX_TERMS - 1) // 2
-    if not max(radius, n_min) <= n_max:
-        raise NoConvergence(f"decay radius {radius:.6g} exceeds the window "
-                            f"of {SERIES_MAX_TERMS} terms")
-    n_min = max(n_min, math.ceil(radius), 4)
-    half = n_min + 4
-    while True:
-        big = min(half, n_max)
-        # Non-finite values are caught below, not warned about.
-        with np.errstate(all="ignore"):
-            t = np.asarray(term(np.arange(-big, big + 1)), dtype=complex)
-            plus, minus = t[big + 1:], t[big - 1::-1]  # t(n), t(-n), n >= 1
-            mag = np.abs(plus) + np.abs(minus)
-            partial = np.abs(t[big] + np.cumsum(plus + minus))
-            small = mag <= eps * np.maximum(1.0, partial)
-        small[:n_min - 1] = False
-        stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:]) + 3
-        bad = (np.flatnonzero(~np.isfinite(mag)) + 1).tolist()
-        if not np.isfinite(t[big]):
-            bad.insert(0, 0)
-        if stops.size and (not bad or stops[0] < bad[0]):
-            n = int(stops[0])
-            return Side(fsum_complex(t[big - n:big + n + 1]), "series",
-                        terms_used=2 * n + 1, half_width_used=n,
-                        tail_estimate=float(mag[n - 3:n].min()))
-        if bad:
-            raise NoConvergence(f"term overflow at |n|={bad[0]}")
-        if big == n_max:
-            raise NoConvergence(f"bilateral sum did not converge within "
-                                f"{SERIES_MAX_TERMS} terms")
-        half *= 2
+
+    def window(z: float) -> np.ndarray:
+        if not max(z, n_min) <= (SERIES_MAX_TERMS - 1) // 2:
+            raise NoConvergence(f"half-width {z:.6g} exceeds the window "
+                                f"of {SERIES_MAX_TERMS} terms")
+        n = max(math.ceil(z), n_min)
+        return np.arange(-n, n + 1)
+
+    _, t, total, edge = _window(term, decay, eps, window, 1.0, NoConvergence)
+    return Side(total, "series", terms_used=t.size,
+                half_width_used=t.size // 2, tail_estimate=edge)
 
 
 def _product_model(factors, q: complex, z: complex):

@@ -22,7 +22,7 @@ from typing import Any, Callable, Mapping
 from . import bilateral, classical, quadrature
 from .bilateral import _product_model, _sum_pairs
 from .classical import OslerParams
-from .errors import InvalidGrid, InvalidParams, QsincError
+from .errors import DomainError, InvalidGrid, InvalidParams, QsincError
 from .qcore import (
     BaileyParams,
     MultibasicParams,
@@ -220,6 +220,8 @@ def verify(ident: IdentityId, params: Mapping[str, Any],
       "bilateral product series equals its companion dt/t integral")
 def _arm_main(params, eps):
     sp = _series_params(params)
+    if complex(sp.z).real <= 0.0:  # main_integral's domain, checked first
+        raise DomainError(f"Re z must be positive, got z={sp.z}")
     return (bilateral.main_series(sp, eps),
             quadrature.main_integral(sp, eps))
 

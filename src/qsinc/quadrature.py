@@ -14,11 +14,13 @@ between 1/3 and 2/3 and so never reach an integer: the two sides share
 code but no samples.  For such integrands the refined trapezoid rule on a
 truncated window converges spectrally, so the rule starts coarse, at 2
 nodes per unit, and the error estimate is the difference of the last two
-refinement levels.  Every node is sampled once; the first two levels are
-one lattice, sampled in one pass, and the first level's two outermost
-samples certify that the truncation is negligible.  Each pass is one
-integrand call, and one integral may use at most MAX_NODES nodes: a level
-past that budget fails before its nodes are built.
+refinement levels.  Both sides take their window from one routine,
+_window: the half-width Z from the decay model, one sampling pass, and a
+truncation certificate on the two outermost samples, relative to the
+window's value.  Every node is sampled once; the integral's first two
+levels are one lattice, sampled in one pass.  Each pass is one integrand
+call, and one integral may use at most MAX_NODES nodes: a level past that
+budget fails before its nodes are built.
 """
 
 from __future__ import annotations
@@ -70,45 +72,65 @@ def _decay_radius(decay: tuple[float, float], eps: float) -> float:
     return (lr + math.sqrt(lr * lr + 4.0 * g * le)) / (2.0 * g)
 
 
+def _sample(f, x: np.ndarray, fail=QuadratureFailure) -> np.ndarray:
+    """f at the nodes x, as complex; a non-finite value raises fail, at the
+    node nearest 0 (for the series, whose nodes are n, a term overflow)."""
+    with np.errstate(all="ignore"):  # non-finite values are typed below
+        v = np.asarray(f(x), dtype=complex)
+    bad = x[~np.isfinite(v)]
+    if bad.size:
+        at = bad[np.argmin(np.abs(bad))]
+        raise fail(f"term overflow at |n|={abs(at):.0f}"
+                   if fail is NoConvergence else
+                   f"non-finite integrand sample at x={at:.17g}")
+    return v
+
+
+def _window(f, decay: tuple[float, float], eps: float, nodes, step: float,
+            fail=QuadratureFailure):
+    """Sample f once on the window of a lattice rule, and certify it.
+
+    The window is |x| <= Z, Z = _RADIUS_SAFETY x the decay radius at eps/10;
+    nodes(Z) checks its budget and builds the lattice, of spacing step.
+    fail is raised for a Z that is not finite, a non-finite sample, and
+    outermost samples above eps/10 max(1, |step sum f|) (the decay model is
+    too fast).  Returns Z, the samples, their exact sum and the larger
+    outermost sample.
+    """
+    z = _RADIUS_SAFETY * _decay_radius(decay, eps / 10.0)
+    if not math.isfinite(z / step):
+        raise fail("decay model (g, r) = ({:.6g}, {:.6g}) gives no finite "
+                   "window".format(*decay))
+    v = _sample(f, nodes(z), fail)
+    total = fsum_complex(v)
+    edge = float(max(abs(v[0]), abs(v[-1])))
+    bound = eps / 10.0 * max(1.0, abs(step * total))
+    if edge > bound:
+        raise fail(f"window edge sample |f|={edge:.2e} > {bound:.2e} on the "
+                   f"window |x| <= {z:.6g}; the decay model is too fast")
+    return z, v, total, edge
+
+
 def integrate_gaussian_decay(integrand, decay: tuple[float, float],
                              eps: float, nodes_per_unit: int = 2) -> Side:
     """Integrate f over R given the decay model |f| = O(r^|x| e^(-g x^2)).
 
-    integrand must accept a numpy array of real nodes and return complex
-    values; it is called once per pass, on all of that pass's nodes.
-    decay = (g, r) with g > 0 in natural-log units.  The first level has
-    nodes_per_unit nodes per unit (at least 2); each refinement halves the
-    spacing until two levels agree to eps.  The first two levels are one
-    lattice of twice that density, sampled in one pass; its even nodes are
-    the first level.  No node is an integer, so the integral never samples
-    the series' lattice.  Every sample enters the value, so the first
-    non-finite one raises QuadratureFailure.  So does a first level whose
-    outermost samples exceed eps/10 (the window does not contain the
-    integrand: the decay model is too fast), a window that is not finite,
-    and a level that would take the integral past MAX_NODES, before any
-    node is built.
+    integrand maps a numpy array of real nodes to complex values, once per
+    pass.  decay = (g, r) with g > 0 in natural-log units.  The first level
+    has nodes_per_unit nodes per unit (at least 2); each refinement halves
+    the spacing until two levels agree to eps.  The first two levels are one
+    lattice of twice that density on the window of _window; its even nodes
+    are the first level.  No node is an integer, so the integral never
+    samples the series' lattice.  Every failure is QuadratureFailure: those
+    of _window, a non-finite refinement sample, and a level past MAX_NODES,
+    before any of its nodes is built.
     """
     _check_eps(eps)
     if nodes_per_unit < 2:
         raise InvalidParams("nodes_per_unit must be >= 2")
-    g, r = decay
-    if g <= 0.0:
-        raise InvalidDecay(f"Gaussian rate must be positive, got {g}")
-
-    def sample(x: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            v = np.asarray(integrand(x), dtype=complex)
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            raise QuadratureFailure(
-                f"non-finite integrand sample at x={x[bad[0]]:.17g}")
-        return v
-
-    z = _RADIUS_SAFETY * _decay_radius(decay, eps / 10.0)
+    if decay[0] <= 0.0:
+        raise InvalidDecay(f"Gaussian rate must be positive, got {decay[0]}")
     h = 1.0 / nodes_per_unit
-    if not math.isfinite(z / h):
-        raise QuadratureFailure(
-            f"decay model (g, r) = ({g:.6g}, {r:.6g}) gives no finite window")
     value = prev = None
 
     def check_budget(level: int, count: int) -> None:
@@ -124,17 +146,14 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
     # is its even j, h (k + 1/3).  Each later level is the midpoints
     # h (k + off/3 + 1/2), -npts <= k < npts, of the rule at spacing h; they
     # turn offset 1 into 2 and 2 into 1.  Each is counted before it is built.
-    npts = math.ceil(z / h)
-    check_budget(0, 2 * npts + 1)
-    check_budget(1, 4 * npts + 1)
-    v = sample(h / 2 * (np.arange(-2 * npts, 2 * npts + 1) + 2 / 3))
-    edge = max(abs(v[0]), abs(v[-1]))
-    if edge > eps / 10.0:  # truncation certificate
-        raise QuadratureFailure(
-            f"window edge sample |f|={edge:.2e} > eps/10 on the window "
-            f"|x| <= {z:.6g}; the decay model is too fast")
-    total = fsum_complex(v[0::2])
-    value, total = h * total, total + fsum_complex(v[1::2])
+    def first_lattice(z: float) -> np.ndarray:
+        npts = math.ceil(z / h)
+        check_budget(0, 2 * npts + 1)
+        check_budget(1, 4 * npts + 1)
+        return h / 2 * (np.arange(-2 * npts, 2 * npts + 1) + 2 / 3)
+
+    z, v, total, _ = _window(integrand, decay, eps, first_lattice, h / 2)
+    npts, value = v.size // 4, h * fsum_complex(v[0::2])
     nodes, off = v.size, 2
     for level in itertools.count(1):
         h /= 2.0
@@ -146,7 +165,7 @@ def integrate_gaussian_decay(integrand, decay: tuple[float, float],
                         error_estimate=err)
         npts *= 2
         check_budget(level + 1, nodes + 2 * npts)
-        v = sample(h * (np.arange(-npts, npts) + off / 3 + 0.5))
+        v = _sample(integrand, h * (np.arange(-npts, npts) + off / 3 + 0.5))
         total += fsum_complex(v)
         nodes += v.size
         off = 2 * off % 3

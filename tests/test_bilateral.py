@@ -44,27 +44,48 @@ def _sp(a, b, z, q, p):
 
 class TestSumPairs:
     # Terms e^(-n^2) with decay (g, r) = (1, 1) at eps 1e-12: the decay
-    # radius is 6, so the sum stops at n = 8 after the pairs 6, 7, 8.
+    # radius at eps/10 is 5.47, so Z = 1.25 x 5.47 = 6.84 and the window is
+    # n in [-7, 7], sampled once.
     @staticmethod
     def _gauss(bad):
         return lambda n: np.where(bad(np.abs(n)), np.inf, np.exp(-n * n * 1.0))
 
     def test_nonfinite_beyond_stop_is_ignored(self):
-        ev = _sum_pairs(self._gauss(lambda m: m > 8), (1.0, 1.0), 1e-12)
-        assert ev.terms_used == 17
-        assert ev.value == math.fsum(np.exp(-np.arange(-8, 9) ** 2.0))
+        ev = _sum_pairs(self._gauss(lambda m: m > 7), (1.0, 1.0), 1e-12)
+        assert ev.terms_used == 15 and ev.half_width_used == 7
+        assert ev.value == math.fsum(np.exp(-np.arange(-7, 8) ** 2.0))
+        assert ev.tail_estimate == np.exp(-49.0)  # the larger end term
 
     def test_nonfinite_before_stop_raises(self):
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence, match=r"term overflow at \|n\|=7"):
             _sum_pairs(self._gauss(lambda m: m == 7), (1.0, 1.0), 1e-12)
 
-    @pytest.mark.parametrize("decay", [(1e-12, 1.0), (1.0, math.inf)],
-                             ids=["radius-over-budget", "infinite-radius"])
-    def test_window_over_budget_fails_before_any_term(self, decay):
+    def test_n_min_is_a_floor_on_the_window(self):
+        ev = _sum_pairs(self._gauss(lambda m: m > 10), (1.0, 1.0), 1e-12, 10)
+        assert ev.terms_used == 21
+
+    def test_too_fast_decay_model_fails_after_one_call(self):
+        # e^(-n^2/100) is 0.61 at the window's end n = 7: the window is not
+        # certified, and no wider window is sampled.
+        calls = []
+
+        def term(n):
+            calls.append(n.size)
+            return np.exp(-n * n / 100.0)
+
+        with pytest.raises(NoConvergence, match="window edge"):
+            _sum_pairs(term, (1.0, 1.0), 1e-12)
+        assert calls == [15]
+
+    @pytest.mark.parametrize("decay, message", [
+        ((1e-12, 1.0), "exceeds the window"),
+        ((1.0, math.inf), "no finite window"),
+    ], ids=["radius-over-budget", "infinite-radius"])
+    def test_window_over_budget_fails_before_any_term(self, decay, message):
         def term(n):
             raise AssertionError("evaluated a window that is over budget")
 
-        with pytest.raises(NoConvergence, match="exceeds the window"):
+        with pytest.raises(NoConvergence, match=message):
             _sum_pairs(term, decay, 1e-12)
 
 

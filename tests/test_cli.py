@@ -51,11 +51,13 @@ class TestVerifyCommand:
         ("appell-lerch", "--a", "0", "--q", ".6"),
         ("multibasic", "--p1", ".2", "--a1", "2", "--b1", "1", "--p2", ".3",
          "--a2", "3", "--b2", "1", "--alpha-sum", "0.5+0.5i"),
+        ("main", "--a", "-.38671", "--b", ".92977", "--z=-.13427-2.30302i",
+         "--q", ".45461", "--p", ".42961"),
     ], ids=["missing-y", "complex-p", "osler-complex-b", "osler-complex-a",
             "osler-complex-alpha", "osler-complex-theta",
             "classical-complex-a", "classical-complex-alpha",
             "fourier-complex-y", "base-q-zero", "appell-lerch-a-zero",
-            "multibasic-complex-alpha-sum"])
+            "multibasic-complex-alpha-sum", "main-re-z-negative"])
     def test_bad_parameter_exit_two(self, capsys, argv):
         # These escaped as KeyError, TypeError, OverflowError or
         # ZeroDivisionError tracebacks (exit 1); osler-complex-b dropped the
@@ -110,7 +112,7 @@ class TestVerifyCommand:
         assert "  rule: abs" in lines
         lhs = next(line for line in lines if line.startswith("  lhs: "))
         rhs = next(line for line in lines if line.startswith("  rhs: "))
-        assert "method=series" in lhs and "terms_used=35" in lhs
+        assert "method=series" in lhs and "terms_used=39" in lhs
         assert "method=trapezoid" in rhs and "nodes_used=153" in rhs
 
     def test_complex_flag_syntax(self, capsys):

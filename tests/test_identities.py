@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qsinc import (
     CATALOG,
+    DomainError,
     IdentityId,
     InvalidGrid,
     InvalidParams,
@@ -327,6 +328,38 @@ class TestVerify:
         assert report.lhs_diag["status"] == "inconclusive"
         assert report.lhs_diag["reason"].startswith(
             "NoConvergence: term overflow")
+
+    def test_re_z_is_checked_before_either_side(self):
+        # Outside the main integral's half plane.  main_series runs first
+        # and fails here ("term overflow at |n|=45"), which made the point
+        # inconclusive instead of a domain error.
+        with pytest.raises(DomainError, match="Re z must be positive"):
+            verify(IdentityId.Main, {"a": -0.38671, "b": 0.92977,
+                                     "z": -0.13427 - 2.30302j,
+                                     "q": 0.45461, "p": 0.42961})
+
+    def test_series_window_certificate_is_relative(self):
+        # The series' end term 1.28e-11 is above eps/10 = 1e-11 but far
+        # below eps/10 times its sum, |-33.66+35.00i| = 48.6.
+        report = verify(IdentityId.Main, {
+            "a": -0.0015887087867474392, "b": 0.04499834106141609,
+            "z": 1.7361441987133304 - 0.848049699982394j,
+            "q": 0.922208005276069, "p": 0.5022029426067246})
+        assert report.passed and report.rel_err < 1e-13
+        assert 1e-11 < report.lhs_diag["tail_estimate"] < 1e-11 * 48.6
+
+    def test_uncertified_series_window_is_inconclusive(self):
+        # The moved side's end term is 7.98e-11 against eps/10 = 1e-11:
+        # its decay model is too fast there.  The sum was taken anyway and
+        # the point failed by value (rel_err 0.75).
+        report = verify(IdentityId.Invariance, {
+            "a": 0.08761474346011075, "b": 0.5032455473638371,
+            "z": 1.129434629666483, "q": 0.8987586291156763,
+            "p": 0.3079613575393504,
+            "c": -1.0563826014052482 + 0.4415711882565307j})
+        assert report.lhs_diag["status"] == "inconclusive"
+        assert report.lhs_diag["reason"].startswith(
+            "NoConvergence: window edge sample")
 
     def test_elapsed_recorded(self):
         report = verify(IdentityId.TripleProduct, {"z": 0.8, "q": 0.5})

@@ -7,15 +7,11 @@ a moved report field, breaks the benchmark; these tests catch it without
 running the benchmark.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from qsinc import IdentityId, cli, verify
 
-_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import load_perfbench as _load
 
 # Accepted, but the integrand's numerator overflows: inconclusive
 # (QuadratureFailure).
@@ -24,15 +20,6 @@ _PASSING = {"a": 0.2, "b": 0.3, "z": 1.0, "q": 0.6, "p": 0.3}
 # Accepted, but a product argument is near the largest float: inconclusive
 # (NoConvergence), not a usage error.
 _HUGE_ARGUMENT = {"a": 0.8, "b": -0.8, "q": 0.1, "p": 0.095, "m": -3}
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(
-        f"qsinc_{name}", _PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 def _traced_bindings() -> list[tuple[object, str]]:
