@@ -5,22 +5,22 @@ t = q^zeta, where the integrands become smooth with decay r^|zeta|
 e^(-g zeta^2).  The sum-equals-integral theorem says that the sum over Z is
 the trapezoid rule at h = 1 applied to the integrand of the integral over R.
 So each identity family has one term model, built from one factor list by
-the one term routine _integrand, which takes the theta denominator on one
-period and extends it by quasi-periodicity, and the one decay routine
-_decay.  The series side (bilateral), product series included, evaluates
-the model on the integer nodes; the integral side evaluates it on the
-lattice h (k + 1/3), whose midpoint refinements alternate the offset
-between 1/3 and 2/3 and so never reach an integer: the two sides share
-code but no samples.  For such integrands the refined trapezoid rule on a
-truncated window converges spectrally, so the rule starts coarse, at 2
-nodes per unit, and the error estimate is the difference of the last two
-refinement levels.  Both sides take their window from one routine,
-_window: the half-width Z from the decay model, one sampling pass, and a
-truncation certificate on the two outermost samples, relative to the
-window's value.  Every node is sampled once; the integral's first two
-levels are one lattice, sampled in one pass.  Each pass is one integrand
-call, and one integral may use at most MAX_NODES nodes: a level past that
-budget fails before its nodes are built.
+the one term routine _integrand and the one decay routine _decay.  The
+terms of a theta-form model carry 1/den(x), den(x) = (-z q^x, -q^(1-x)/z;
+q)_inf, taken once per class of the nodes' fractional part x0 (x0 = 0 on
+the integers) and extended by quasi-periodicity; a product series' carry
+theta(n), with no den.  The series side (bilateral) samples the integers;
+the integral side samples the lattice h (k + 1/3), whose midpoint
+refinements alternate the offset between 1/3 and 2/3 and never reach an
+integer: the two sides share code but no samples.  The refined trapezoid
+rule converges spectrally on a truncated window, so it starts at 2 nodes
+per unit, and its error estimate is the difference of the last two levels.
+Both sides take their window from _window: the half-width Z from the decay
+model, one sampling pass, and a truncation certificate on the two outermost
+samples, relative to the window's value.  Every node is sampled once; the
+integral's first two levels are one lattice, sampled in one pass.  Each
+pass is one integrand call, and one integral may use at most MAX_NODES
+nodes: a level past that budget fails before its nodes are built.
 """
 
 from __future__ import annotations
@@ -206,25 +206,22 @@ def _check_line_pole(z: complex, q: complex) -> None:
 
 
 def _integrand(factors, q: complex, z: complex, const: complex = 1.0,
-               mu: complex = 0.0):
-    """The term routine of every q-side: x -> const e^(mu x) theta(x)
-    prod_j (b_j e^(lam_j x), a_j e^(-lam_j x); p_j)_inf for factors
-    ((p_j, a_j, b_j, lam_j), ...), with theta(x) = den(0) / den(x) and
-    den(x) = (-z q^x, -q^(1-x)/z; q)_inf.
-
-    As den(x+1) = den(x) / (z q^x), theta(n + x0) = z^n q^(n x0 + n(n-1)/2)
-    den(0) / den(x0) for integer n and 0 <= x0 < 1: den is evaluated once
-    per distinct x0 (one per lattice offset of a trapezoid level), and never
-    on the integers, where theta(n) is the product series' weight (const =
-    1); a theta-form model passes const = 1/den(0).  The same identity
-    about the integer c nearest the peak of the weight e^(mu x) theta(x),
-    with z q^c for z, splits the weight into its value at c, one rounding
-    that all terms share, and one exponent, small where terms are large.
-    It multiplies the formed products; where it underflows to 0 the term is
-    0 and its products are not evaluated."""
+               mu: complex = 0.0, inv_den: bool = False):
+    """The term routine of every q-side: x -> const e^(mu x) w(x)
+    prod_j (b_j e^(lam_j x), a_j e^(-lam_j x); p_j)_inf, one product call
+    per factor (p_j, a_j, b_j, lam_j); w is 1/den for the theta-form models
+    (inv_den), else theta = den(0)/den, for product series on the integers;
+    den(x) = (-z q^x, -q^(1-x)/z; q)_inf.  The nodes x are an arithmetic
+    progression of m nodes per unit, m whole: node i has the fractional part
+    x0 of node i mod m.  As den(x+1) = den(x)/(z q^x), w(n + x0) = z^n
+    q^(n x0 + n(n-1)/2) w(x0), so 1/den takes den once per class, in one
+    product call (0 or not finite is NoConvergence), and theta(0) = 1 none.
+    About the integer c nearest the weight's peak, with z q^c for z, the
+    weight is e^(mu c) (times theta(c) for theta) times one exponent; where
+    it underflows to 0 the term is 0 and its products are not evaluated."""
     lnq, lnz = cmath.log(complex(q)), cmath.log(complex(z))
     c = round(0.5 - (lnz.real + mu.real) / lnq.real)
-    top = c * lnz + c * (c - 1) / 2 * lnq + mu * c
+    top = mu * c if inv_den else c * lnz + c * (c - 1) / 2 * lnq + mu * c
     lnz += c * lnq
 
     def f(x: np.ndarray) -> np.ndarray:
@@ -232,17 +229,21 @@ def _integrand(factors, q: complex, z: complex, const: complex = 1.0,
         x0, n = x - n, n - c
         w = n * (lnz + mu) + n * (x0 + (n - 1) / 2) * lnq + mu * x0
         live = np.flatnonzero(np.exp(w.real + top.real))
-        x, x0, v = x[live], x0[live], const * np.exp(top)
+        v = const * np.exp(top)
         for p, a, b, lam in factors:
-            e = np.exp(x * lam)
-            v = v * qpoch_inf_vec(b * e, p) * qpoch_inf_vec(a / e, p)
-        if x0.any():
-            _, first, cls = np.unique(np.round(x0, 12), return_index=True,
-                                      return_inverse=True)
-            zq = np.exp(lnz + np.append(0.0, x0[first]) * lnq)
-            den = np.prod(qpoch_inf_vec(np.stack((-zq, -q / zq)), q), 0)
-            den[np.isinf(den)] = np.nan  # a real den(0) / inf would be 0
-            v = v * (den[0] / den[1:])[cls]
+            e = np.exp(x[live] * lam)
+            ab = qpoch_inf_vec(np.concatenate((b * e, a / e)), p)
+            v = v * ab[:e.size] * ab[e.size:]
+        if inv_den:
+            m = round(1 / (x[1] - x[0])) if x.size > 1 else 1
+            zq = np.exp(lnz + x0[:m] * lnq)
+            den = qpoch_inf_vec(np.concatenate((-zq, -q / zq)), q)
+            den = den[:zq.size] * den[zq.size:]
+            if not (np.isfinite(den).all() and den.all()):
+                k = np.argmin(np.isfinite(den) & (den != 0))
+                raise NoConvergence(f"(-z q^x, -q^(1-x)/z; q)_inf is "
+                                    f"{den[k]:.3g} at x={c + x0[k]:g}, z={z}")
+            v = v / den[live % m]
         out = np.zeros(w.shape, dtype=complex)
         out[live] = v * np.exp(w[live])
         return out
@@ -294,7 +295,7 @@ def _symmetric_model(params: SeriesParams, mu: complex = 0.0):
     q, z = complex(params.qp.q), params.z
     factors = ((complex(params.qp.p), complex(params.a), complex(params.b),
                 cmath.log(q)),)
-    return (_integrand(factors, q, z, 1.0 / _theta_den0(z, q), mu),
+    return (_integrand(factors, q, z, mu=mu, inv_den=True),
             _decay(factors, q, z, mu))
 
 
@@ -325,8 +326,7 @@ def _multibasic_model(params: MultibasicParams):
         factors.append((pc, _cpow(pc, a - b + 1.0), _cpow(pc, b + 1.0),
                         alpha * cmath.log(pc)))
         const /= _binomial_normalizer(a, pc)
-    const /= _theta_den0(params.z, params.q)
-    return (_integrand(factors, params.q, params.z, const),
+    return (_integrand(factors, params.q, params.z, const, inv_den=True),
             _decay(factors, params.q, params.z))
 
 
@@ -336,9 +336,9 @@ def base_integral(q: complex, eps: float) -> Side:
     qc = complex(q)
     if qc.imag != 0.0 or not 0.0 < qc.real < 1.0:
         raise InvalidParams(f"q must be real in (0, 1), got {q}")
-    scale = -cmath.log(qc) / _theta_den0(1.0, qc)  # ln(1/q) / den(0)
-    return integrate_gaussian_decay(_integrand((), qc, 1.0, scale),
-                                    _decay((), qc, 1.0), eps)
+    return integrate_gaussian_decay(
+        _integrand((), qc, 1.0, -cmath.log(qc), inv_den=True),
+        _decay((), qc, 1.0), eps)
 
 
 def main_integral(params: SeriesParams, eps: float) -> Side:

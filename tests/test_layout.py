@@ -9,7 +9,7 @@ running the benchmark.
 
 import pytest
 
-from qsinc import IdentityId, cli, verify
+from qsinc import IdentityId, cli, quadrature, verify
 
 from conftest import load_perfbench as _load
 
@@ -35,6 +35,27 @@ _BINDINGS = _traced_bindings()
                          ids=[f"{m.__name__}.{n}" for m, n in _BINDINGS])
 def test_traced_name_is_bound_and_callable(module, name):
     assert callable(getattr(module, name, None))
+
+
+def test_main_verify_calls_the_traced_scalar_product(monkeypatch):
+    # ROADMAP item 11: perfbench/test_smoke.py needs a qcore.scalar span on
+    # grid and edge, whose points are main and symmetric verifies, and
+    # main_integral's prefactor (-z, -q/z; q)_inf is the only scalar product
+    # left there.  Without this test, a change that drops it breaks only the
+    # benchmark's smoke test.
+    assert (quadrature, "qpoch_inf") in [
+        (module, name) for layer, module, names, _ in _load("tracing").LAYERS
+        if layer == "qcore.scalar" for name in names]
+    calls = []
+    scalar = quadrature.qpoch_inf
+
+    def counted(a, q):
+        calls.append(a)
+        return scalar(a, q)
+
+    monkeypatch.setattr(quadrature, "qpoch_inf", counted)
+    assert verify(IdentityId.Main, _PASSING).passed
+    assert calls
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import cmath
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -28,6 +29,7 @@ from qsinc import (
     multibasic_integral,
     MultibasicParams,
     multibasic_series,
+    NoConvergence,
     qpoch_inf,
     QuadratureFailure,
     symmetric_integral,
@@ -39,7 +41,12 @@ from qsinc import (
 )
 from qsinc.errors import InvalidDecay
 from qsinc import quadrature
-from qsinc.quadrature import MAX_NODES, _decay, _symmetric_model
+from qsinc.quadrature import (
+    MAX_NODES,
+    _decay,
+    _multibasic_model,
+    _symmetric_model,
+)
 
 from conftest import rel_err
 from oracles import MULTIBASIC_SERIES, WEIGHTED_SERIES
@@ -215,26 +222,61 @@ class TestDecayModel:
         assert _decay((), 0.5, 1.0, mu=-1e4 * math.log(2))[1] == math.inf
 
 
+def _den(z, q, t):
+    """The theta denominator (-z q^t, -q^(1-t)/z; q)_inf, product by product."""
+    return qpoch_inf(-z * q ** t, q) * qpoch_inf(-q ** (1 - t) / z, q)
+
+
+def _symmetric_case(a, b, z, q, p, mu):
+    ref = lambda t: (cmath.exp(mu * t) * qpoch_inf(b * q ** t, p)
+                     * qpoch_inf(a * q ** -t, p) / _den(z, q, t))
+    return _symmetric_model(_sp(a, b, z, q, p), mu)[0], ref
+
+
+def _base_case(q):
+    # base_integral's integrand, captured from the quadrature call
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "integrate_gaussian_decay",
+                   lambda f, decay, eps: seen.append(f))
+        base_integral(q, 1e-10)
+    return seen[0], lambda t: math.log(1.0 / q) / _den(1.0, q, t)
+
+
+def _multibasic_case(factors, alpha_sum, z):
+    # [a; b + alpha x]_p = (p^(b+1) p^(alpha x), p^(a-b+1) p^(-alpha x); p)_inf
+    # / (p, p^(a+1); p)_inf
+    params = MultibasicParams.from_alpha_sum(factors, alpha_sum, z)
+
+    def ref(t):
+        v = 1.0 / _den(z, params.q, t)
+        for (p, a, b), alpha in zip(factors, params.alphas):
+            v *= (qpoch_inf(p ** (b + 1 + alpha * t), p)
+                  * qpoch_inf(p ** (a - b + 1 - alpha * t), p)
+                  / (qpoch_inf(p, p) * qpoch_inf(p ** (a + 1), p)))
+        return v
+    return _multibasic_model(params)[0], ref
+
+
 class TestIntegrand:
-    # The integrand routine takes theta on one period; the direct ratio
-    # e^(mu x) (b q^x, a q^-x; p)_inf / (-z q^x, -q^(1-x)/z; q)_inf,
-    # product by product, is the reference.
-    @pytest.mark.parametrize("a, b, z, q, p, mu", [
-        (0.2, 0.3, 1.5, 0.6, 0.3, 0.0),
-        (-0.4, 0.35, 0.8 + 0.9j, 0.5, 0.2, 0.0),
-        (0.1, 0.2, 1.0, 0.5, 0.2, -3 * math.log(0.5)),
-        (0.1, 0.2, 1.0, 0.5, 0.2, 2.5j)],
-        ids=["real-z", "complex-z", "weight-q^mx", "fourier-e^iyx"])
-    def test_matches_the_direct_ratio(self, a, b, z, q, p, mu):
-        f, _ = _symmetric_model(_sp(a, b, z, q, p), mu)
+    # The term routine takes den once per class of the nodes' fractional
+    # part; the direct ratio, product by product, is the reference, on a
+    # lattice of 6 nodes per unit and on the integers.
+    @pytest.mark.parametrize("case, args", [
+        (_symmetric_case, (0.2, 0.3, 1.5, 0.6, 0.3, 0.0)),
+        (_symmetric_case, (-0.4, 0.35, 0.8 + 0.9j, 0.5, 0.2, 0.0)),
+        (_symmetric_case, (0.1, 0.2, 1.0, 0.5, 0.2, -3 * math.log(0.5))),
+        (_symmetric_case, (0.1, 0.2, 1.0, 0.5, 0.2, 2.5j)),
+        (_base_case, (0.6,)),
+        (_multibasic_case, (((0.2, 2, 1), (0.3, 3, 1)), 0.5, 0.6 + 0.2j))],
+        ids=["real-z", "complex-z", "weight-q^mx", "fourier-e^iyx",
+             "base-integral", "multibasic-two-factors"])
+    def test_matches_the_direct_ratio(self, case, args):
+        f, ref = case(*args)
         lattice = (np.arange(-36, 36) + 1.0 / 3.0) / 6.0
         for x in (lattice, np.arange(-6.0, 7.0)):
-            ref = np.array([
-                cmath.exp(mu * t) * qpoch_inf(b * q ** t, p)
-                * qpoch_inf(a * q ** -t, p)
-                / (qpoch_inf(-z * q ** t, q) * qpoch_inf(-q ** (1 - t) / z, q))
-                for t in x])
-            assert np.max(np.abs(f(x) - ref) / np.abs(ref)) < 1e-13
+            want = np.array([ref(t) for t in x])
+            assert np.max(np.abs(f(x) - want) / np.abs(want)) < 1e-13
 
 
 class TestBaseIntegral:
@@ -282,6 +324,36 @@ class TestMainIntegral:
             main_integral(_sp(0.2, 0.3, -1.0 + 0.2j, 0.6, 0.3), quad_eps)
 
 
+@pytest.fixture
+def product_calls(monkeypatch):
+    """Counts of the vector and scalar product calls made through
+    quadrature's bindings, where every term routine takes its products."""
+    calls = {"vec": 0, "scalar": 0}
+
+    def counted(name, fn):
+        def wrapper(a, q):
+            calls[name] += 1
+            return fn(a, q)
+        return wrapper
+
+    monkeypatch.setattr(quadrature, "qpoch_inf_vec",
+                        counted("vec", quadrature.qpoch_inf_vec))
+    monkeypatch.setattr(quadrature, "qpoch_inf",
+                        counted("scalar", quadrature.qpoch_inf))
+    return calls
+
+
+@pytest.mark.parametrize("side, vec, scalar", [
+    (symmetric_series, 2, 0),  # the numerator pair, den on the class x0 = 0
+    (main_series, 1, 0),  # the numerator pair; theta(n) takes no den
+    (main_integral, 2, 2),  # one pass, and the prefactor (-z, -q/z; q)_inf
+], ids=["symmetric_series", "main_series", "main_integral"])
+def test_product_calls_per_side(side, vec, scalar, product_calls):
+    res = side(_sp(0.1, 0.2, 1.0, 0.5, 0.2), 1e-10)
+    assert res.refinements_used == 0
+    assert product_calls == {"vec": vec, "scalar": scalar}
+
+
 class TestSymmetricIntegral:
     @pytest.mark.parametrize("z", [1.0, 0.3 + 0.4j])
     def test_matches_series(self, z, quad_eps, series_eps):
@@ -294,36 +366,28 @@ class TestSymmetricIntegral:
         with pytest.raises(InvalidParams):
             symmetric_integral(_sp(0.1, 0.2, -0.7, 0.5, 0.2), quad_eps)
 
-    def test_one_integrand_call_and_three_vector_products(self, monkeypatch):
+    def test_one_integrand_call_and_two_vector_products(
+            self, monkeypatch, product_calls):
         # Levels 0 and 1 are one lattice, so an integral that stops at the
-        # first comparison calls its integrand once.  That call takes two
-        # numerator products and one for den's pair; den(0) takes two
-        # scalar products.
-        calls = {"integrand": 0, "vec": 0, "scalar": 0}
+        # first comparison calls its integrand once.  That call takes one
+        # product for the numerator pair and one for den's pair on the
+        # lattice's classes; no den(0) is taken.
+        calls = []
         make = quadrature._integrand
-        vec, scalar = quadrature.qpoch_inf_vec, quadrature.qpoch_inf
 
-        def integrand(*args):
-            f = make(*args)
+        def integrand(*args, **kwargs):
+            f = make(*args, **kwargs)
 
             def counted(x):
-                calls["integrand"] += 1
+                calls.append(x.size)
                 return f(x)
             return counted
 
-        def counted(name, fn):
-            def wrapper(a, q):
-                calls[name] += 1
-                return fn(a, q)
-            return wrapper
-
         monkeypatch.setattr(quadrature, "_integrand", integrand)
-        monkeypatch.setattr(quadrature, "qpoch_inf_vec", counted("vec", vec))
-        monkeypatch.setattr(quadrature, "qpoch_inf",
-                            counted("scalar", scalar))
         res = symmetric_integral(_sp(0.1, 0.2, 1.0, 0.5, 0.2), 1e-10)
         assert (res.nodes_used, res.refinements_used) == (137, 0)
-        assert calls == {"integrand": 1, "vec": 3, "scalar": 2}
+        assert calls == [137]
+        assert product_calls == {"vec": 2, "scalar": 0}
 
     def test_hard_point_fails_typed_and_fast(self, monkeypatch):
         # z near the negative axis puts the denominator's zeros near R, so
@@ -335,6 +399,31 @@ class TestSymmetricIntegral:
         with pytest.raises(QuadratureFailure, match="max_nodes=16384"):
             symmetric_integral(params, 1e-11)
         assert time.perf_counter() - start < 5.0
+
+
+class TestThetaDenominatorOverflow:
+    # At q = .999 the theta denominator overflows on every class.  Both sides
+    # stop typed and name it, with no numpy warning (warnings are errors
+    # here): a term over an infinite den is not a zero term.
+    _SYMMETRIC = {"a": 0.1, "b": 0.2, "z": 1, "q": 0.999, "p": 0.4995,
+                  "allow_extreme": True}
+    _REASON = r"\(-z q\^x, -q\^\(1-x\)/z; q\)_inf is inf at x="
+
+    @pytest.mark.parametrize("ident, params", [
+        (IdentityId.Symmetric, _SYMMETRIC),
+        (IdentityId.BaseIntegral, {"q": 0.999})],
+        ids=["symmetric", "base-integral"])
+    def test_verify_is_inconclusive(self, ident, params):
+        report = verify(ident, params)
+        assert report.lhs_diag["status"] == "inconclusive"
+        assert re.match("NoConvergence: " + self._REASON,
+                        report.lhs_diag["reason"])
+
+    @pytest.mark.parametrize("side", [symmetric_series, symmetric_integral])
+    def test_both_sides(self, side):
+        qp = QParams(p=0.4995, q=0.999, allow_extreme=True)
+        with pytest.raises(NoConvergence, match="^" + self._REASON):
+            side(SeriesParams(qp=qp, a=0.1, b=0.2, z=1.0), 1e-10)
 
 
 class TestFourierIntegral:
