@@ -1,10 +1,10 @@
 """Classical (q-free) special functions and sum-equals-integral checks.
 
-Real-order binomial coefficients are band limited, so their bilateral sums
-match the corresponding integrals; this module evaluates both sides of those
-classical identities, which also serve as q -> 1 targets for the q modules.
-Both sides run on one engine, _bilateral_doubling: the sum over the
-integers, and the integral as a trapezoid sum on lattices shifted off them.
+Real-order binomial coefficients (numpy only) are band limited, so their
+bilateral sums match the corresponding integrals; this module evaluates both
+sides of those classical identities, which also serve as q -> 1 targets for
+the q modules.  Both sides run on one engine, _bilateral_doubling: the sum
+over the integers, and the integral as a trapezoid sum on lattices off them.
 """
 
 from __future__ import annotations
@@ -25,6 +25,14 @@ from .qcore import SERIES_MAX_TERMS, Side, _check_eps
 from .util import fsum_complex
 
 _INT_TOL = 1e-9  # distance below which a value counts as an exact integer
+_LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+            771.32342877765313, -176.61502916214059, 12.507343278686905,
+            -0.13857109526572012, 9.9843695780195716e-6,
+            1.5056327351493116e-7)
+# Stirling's series of ln Gamma(y), B_2k / (2k (2k - 1)) for k = 6, ..., 1:
+# at y >= 12 the first omitted term is below 1e-16.
+_STIRLING = (-691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+_BLOCK = 8192  # binomial arguments per pass, so temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -48,7 +56,7 @@ def _near_nonpositive_integer(x: float) -> bool:
 
 
 def gamma_classical(x: float) -> float:
-    """Classical Gamma function (Lanczos-class implementation)."""
+    """Classical Gamma function by math.gamma; a pole raises a typed error."""
     if _near_nonpositive_integer(x):
         raise PoleAtNonpositiveInteger(f"Gamma pole at x={x}")
     return math.gamma(x)
@@ -75,17 +83,59 @@ def binomial_real(a: float, u: float) -> float:
 
 
 def binomial_profile(a: float, u: np.ndarray) -> np.ndarray:
-    """Vectorized binomial_real; denominator poles map to zeros."""
-    from scipy.special import gammaln, gammasgn  # lazy: scipy is slow to load
+    """Vectorized binomial_real; a denominator pole gives exactly 0.
 
+    binom = Gamma(a+1)/pi sin(pi y) Gamma(y)/Gamma(v+1), v = max(u, a - u),
+    y = v - a.  For y >= 12 the gamma ratio is Stirling's series in logs, with
+    no cancelling O(v log v) terms; below, Lanczos.  sin(pi y) is reduced
+    exactly, with the rounding error of u - a added back.
+    """
+    c = a + 1.0
+    if c <= 0.0 and c == math.floor(c):
+        raise PoleAtNonpositiveInteger(f"Gamma(a+1) pole at a={a}")
+    scale = math.lgamma(c) + c  # + c: the x - y of Stirling's formulas
+    gain = (-1.0 if c < 0.0 and math.floor(c) % 2 else 1.0) / math.pi
     u = np.asarray(u, dtype=float)
-    s = u + 1.0
-    t = a - u + 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        logs = gammaln(a + 1.0) - gammaln(s) - gammaln(t)
-        signs = gammasgn(a + 1.0) * gammasgn(s) * gammasgn(t)
-        out = signs * np.exp(logs)
-    return np.where(np.isfinite(out), out, 0.0)
+    flat, out = u.ravel(), np.empty(u.size)
+    with np.errstate(all="ignore"):
+        for i in range(0, u.size, _BLOCK):
+            ub, block = flat[i:i + _BLOCK], out[i:i + _BLOCK]
+            d = ub - a
+            y = np.maximum(d, -ub)
+            x = y + c
+            r = 1.0 / np.stack([y, x])
+            st = np.polyval(_STIRLING, r * r) * r  # Stirling's remainders
+            block[:] = gain * _sinpi(y, ((ub - d) - a) * (y == d)) * np.exp(
+                scale - c * np.log(x) + (y - 0.5) * np.log1p(-c / x)
+                + (st[0] - st[1]))
+            near = np.flatnonzero(y < 12.0 + max(0.0, -c))  # far: y, x >= 12
+            if near.size:  # Gamma(a+1) / (Gamma(v+1) Gamma(1-y)), Lanczos
+                lg, sg = _lgamma(np.concatenate(
+                    [[c], y[near] + c, 1.0 - y[near]]))
+                k = near.size + 1
+                block[near] = sg[0] * sg[1:k] * sg[k:] * np.exp(
+                    lg[0] - lg[1:k] - lg[k:])
+    return out.reshape(u.shape)
+
+
+def _sinpi(y: np.ndarray, e: np.ndarray | float) -> np.ndarray:
+    """sin(pi (y + e)) for |e| << 1, exactly 0 at an integer y with e = 0."""
+    r = y - 2.0 * np.rint(0.5 * y) + e  # exact up to e, in [-1, 1]
+    m = np.abs(r)  # sin(pi r) = sign(r) sin(pi min(|r|, 1 - |r|))
+    return np.sign(r) * np.sin(np.pi * np.minimum(m, 1.0 - m))
+
+
+def _lgamma(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log|Gamma(z)|, sign: Lanczos (g = 7, 9 terms), reflected below 0."""
+    reflect = z < 0.0
+    w = np.where(reflect, -z, z - 1.0)  # Gamma(w + 1) = Gamma(z), Gamma(1-z)
+    series = _LANCZOS[0] + (np.array(_LANCZOS[1:])
+                            / (w[:, None] + np.arange(1.0, 9.0))).sum(axis=1)
+    t = w + 7.5
+    lg = (w + 0.5) * np.log(t) - t + np.log(math.sqrt(2.0 * math.pi) * series)
+    sz = _sinpi(z, 0.0)
+    return (np.where(reflect, np.log(math.pi / np.abs(sz)) - lg, lg),
+            np.where(reflect, np.sign(sz), 1.0))
 
 
 def _bilateral_doubling(block_sum, eps: float) -> Side:

@@ -7,8 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsinc import (
     IdentityId,
@@ -24,6 +27,7 @@ from qsinc import (
     classical_sum,
     gamma_classical,
     osler_sum,
+    sweep_points,
     verify,
 )
 
@@ -32,16 +36,23 @@ from qsinc import classical
 from conftest import rel_err
 
 
-def test_import_skips_scipy():
-    # scipy is most of the import time and only the classical side needs it.
+def test_classical_verify_loads_no_scipy():
+    # The binomial is numpy only: neither the import nor a classical verify
+    # loads scipy, whose import would dominate a cold start.
     src = str(Path(qsinc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, qsinc; print(sorted(m for m in sys.modules"
-         " if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    code = (
+        "import sys\n"
+        "from qsinc import cli\n"
+        "for argv in (['classical-sum-int', '--a', '2', '--alpha', '1',\n"
+        "              '--l', '2'],\n"
+        "             ['osler', '--a', '2', '--alpha', '0.5']):\n"
+        "    assert cli.main(['verify', '--identity', *argv]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestBinomialReal:
@@ -58,6 +69,51 @@ class TestBinomialReal:
     def test_denominator_pole_is_zero(self):
         assert binomial_real(2.0, -1.0) == 0.0
         assert binomial_real(2.0, 3.0) == 0.0
+        assert binomial_real(3.0, -1.0) == 0.0
+
+    def test_integer_order_has_exact_zeros(self):
+        # sin(pi (u - a)) is reduced exactly, so no rounding is left over.
+        n = np.concatenate([np.arange(-300.0, 0.0), np.arange(3.0, 300.0),
+                            [-999_999.0, -1e5, 1e5, 999_999.0, 1e6]])
+        assert np.all(binomial_profile(2.0, n) == 0.0)
+
+    @pytest.mark.parametrize("a", [0.5, 1.5, 2.0, 2.5, 3.0, 3.2])
+    def test_profile_against_mpmath(self, a):
+        # Seeded u away from the zeros of sin(pi (u - a)), where the
+        # relative error is the function's own, not the argument's.
+        rng = np.random.default_rng(int(a * 10))
+        near = rng.uniform(-60.0, 60.0, 60)
+        far = rng.choice([-1.0, 1.0], 60) * 10.0 ** rng.uniform(
+            math.log10(60.0), 6.0, 60)
+        with mpmath.workdps(30):
+            us, exact = [], []
+            for u in np.concatenate([near, far]):
+                if abs(mpmath.sinpi(mpmath.mpf(u) - mpmath.mpf(a))) >= 0.1:
+                    us.append(u)
+                    exact.append(mpmath.binomial(a, mpmath.mpf(u)))
+        us = np.array(us)
+        got = binomial_profile(a, us)
+        err = np.array([float(abs((g - e) / e)) for g, e in zip(got, exact)])
+        small = np.abs(us) <= 60.0
+        assert small.sum() > 20 and (~small).sum() > 20
+        assert err[small].max() <= 1e-13
+        assert np.all(err[~small] <= 1e-14 * np.abs(us[~small]))
+
+    # Dyadic a and u keep a - u, a - 1 and u - 1 exact, so every side sees
+    # exactly the arguments the identity names.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1025, 4096), st.integers(-40 * 1024, 40 * 1024))
+    def test_symmetry_and_pascal(self, a_k, u_k):
+        a, u = a_k / 1024, u_k / 1024
+
+        def binom(order, arg):
+            return float(binomial_profile(order, np.array([arg]))[0])
+
+        value, mirror = binom(a, u), binom(a, a - u)
+        assert abs(value - mirror) <= 1e-12 * max(abs(value), abs(mirror))
+        up, down = binom(a - 1.0, u), binom(a - 1.0, u - 1.0)
+        scale = max(abs(value), abs(up), abs(down))
+        assert abs(value - (up + down)) <= 1e-12 * scale
 
     def test_numerator_pole_raises(self):
         with pytest.raises(PoleAtNonpositiveInteger):
@@ -212,3 +268,30 @@ class TestClassicalSumInt:
         with pytest.raises(InvalidParams):
             verify(IdentityId.ClassicalSumInt,
                    {"a": 2.0, "alpha": 1.0, "l": 0}, eps=series_eps)
+
+
+# The osler and classical-sum-int points of the benchmark's catalog
+# (perfbench/workloads.py, _acceptance_points).
+_OSLER_POINTS = [{"a": a, "alpha": alpha, "theta": theta}
+                 for a, alpha, theta in [(2.0, 0.5, 0.0), (2.0, 1.0, 0.0),
+                                         (1.5, 0.5, 0.4), (3.0, 0.7, -0.8),
+                                         (2.5, 1.0, 1.0)]]
+_CLASSICAL_POINTS = [{"a": a, "l": l, "alpha": alpha}
+                     for a, l, alpha in [(2.0, 1, 1.0), (2.0, 2, 1.0),
+                                         (3.0, 2, 1.0), (2.0, 4, 0.5),
+                                         (2.5, 3, 2.0 / 3.0)]]
+
+
+@pytest.mark.parametrize("ident,points", [
+    (IdentityId.Osler, _OSLER_POINTS),
+    (IdentityId.ClassicalSumInt, _CLASSICAL_POINTS),
+], ids=["osler", "classical-sum-int"])
+def test_two_sweep_threads_give_the_same_reports(ident, points):
+    # The binomial keeps no state between calls, so threads cannot mix.
+    def fields(report):
+        return repr({k: v for k, v in vars(report).items() if k != "elapsed"})
+
+    one, s1 = sweep_points(ident, points, threads=1)
+    two, s2 = sweep_points(ident, points, threads=2)
+    assert s1 == s2 and s1["passed"] == len(points)
+    assert [fields(r) for r in one] == [fields(r) for r in two]
