@@ -103,11 +103,16 @@ def fourier_series_side(params: SeriesParams, y: float, eps: float) -> Side:
         raise InvalidParams("fourier_series_side is defined at z = 1")
     q = params.qp.q
     lq = cmath.log(q)
-    kernel = cmath.sinh(cmath.pi * y / lq)
-    if y == 0 or abs(kernel) < 1e-300:
+    w = cmath.pi * y / lq
+    if y == 0 or abs(w) < 1e-300:
         raise KernelPole("sinh kernel pole at y = 0")
+    # Past |Re w| = 700, where sinh(w) overflows, 1/sinh(w) is
+    # 2 s e^(-s w) to double precision, s the sign of Re w.
+    s = math.copysign(1.0, w.real)
+    inv_sinh = (1.0 / cmath.sinh(w) if abs(w.real) < 700.0
+                else 2.0 * s * cmath.exp(-s * w))
     eiy = cmath.exp(1j * y)
-    pref = (2.0 * cmath.pi * 1j / lq) / kernel
+    pref = (2.0 * cmath.pi * 1j / lq) * inv_sinh
     pref *= (qpoch_inf(-q, q) ** 2 * qpoch_inf_large(eiy, q)
              * qpoch_inf_large(complex(q) / eiy, q))
     pref /= (qpoch_inf(q, q) ** 2 * qpoch_inf_large(-eiy, q)
@@ -157,7 +162,11 @@ def appell_lerch_rhs(a: complex, q: complex, eps: float) -> Side:
         return t if n_star is None else np.where(n == n_star, 0.0, t)
 
     if n_star is None:
-        pref = 2.0 * qpoch_inf_large(q * a, q2) * qpoch_inf_large(q / a, q2)
+        with np.errstate(all="ignore"):  # typed below when not finite
+            pref = (2.0 * qpoch_inf_large(q * a, q2)
+                    * qpoch_inf_large(q / a, q2))
+        if not cmath.isfinite(pref):
+            raise NoConvergence(f"2 (qa, q/a; q^2)_inf is {pref:.3g} at a={a}")
         return _sum_pairs(term, decay, eps).scaled(pref)
 
     # Pair the vanishing prefactor-factor with pole term c: pref (w S + d c).

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     IndeterminateRatio,
     InvalidParams,
+    NoConvergence,
     PoleAtNonpositiveInteger,
     QuadratureFailure,
     SlowConvergence,
@@ -56,10 +57,14 @@ def _near_nonpositive_integer(x: float) -> bool:
 
 
 def gamma_classical(x: float) -> float:
-    """Classical Gamma function by math.gamma; a pole raises a typed error."""
+    """Classical Gamma function by math.gamma; a pole and a value that
+    overflows (NoConvergence) raise typed errors."""
     if _near_nonpositive_integer(x):
         raise PoleAtNonpositiveInteger(f"Gamma pole at x={x}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise NoConvergence(f"Gamma({x}) overflows") from None
 
 
 def binomial_real(a: float, u: float) -> float:

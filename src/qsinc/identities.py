@@ -29,10 +29,11 @@ from .qcore import (
     QParams,
     SeriesParams,
     Side,
+    _cpow,
     qpoch_inf,
     theta_product,
 )
-from .quadrature import _binomial_normalizer
+from .quadrature import _binomial_factor
 
 
 class IdentityId(Enum):
@@ -237,15 +238,13 @@ def _arm_symmetric(params, eps):
 @_arm(IdentityId.QBinomialForm, _QUAD_TOL,
       "q-binomial rewriting of the symmetric form")
 def _arm_qbinomial(params, eps):
+    # [a; b + alpha x]_p over the theta denominator in base q = p^alpha:
+    # the multibasic sum and integral with the one factor (p, a, b).
     a, b, z = _required(params, "a", "b", "z")
     qp = _binomial_qparams(params)
-    p = qp.p
-    # [a; b+alpha x]_p = (p^(b+1) q^x, p^(a-b+1) q^-x; p)_inf / C,
-    # so the identity is the symmetric form at mapped arguments.
-    sp = SeriesParams(qp=qp, a=p ** (a - b + 1.0), b=p ** (b + 1.0), z=z)
-    inv_c = 1.0 / _binomial_normalizer(a, p)
-    return (bilateral.symmetric_series(sp, eps).scaled(inv_c),
-            quadrature.symmetric_integral(sp, eps).scaled(inv_c))
+    mp = MultibasicParams(factors=((qp.p, a, b),), q=qp.q, z=z)
+    return (bilateral.multibasic_series(mp, eps),
+            quadrature.multibasic_integral(mp, eps))
 
 
 @_arm(IdentityId.Osler, _CLASSICAL_TOL,
@@ -325,16 +324,15 @@ def _arm_bailey(params, eps):
       "q-binomial form of the four-product transformation")
 def _arm_bailey_binomial(params, eps):
     qp = _binomial_qparams(params)
-    p = qp.p
     a1, b1, a2, b2 = _required(params, "a1", "b1", "a2", "b2")
-    theta = params.get("theta", 0.0)
     # sum_n [a1; b1+alpha n]_p [a2; b2+alpha n]_p p^(alpha n(n-1) + theta n)
-    # is the four-product sum at mapped arguments and z = p^theta, over C1 C2.
-    bp = BaileyParams(qp=qp, a1=p ** (a1 - b1 + 1.0), a2=p ** (a2 - b2 + 1.0),
-                      b1=p ** (b1 + 1.0), b2=p ** (b2 + 1.0), z=p ** theta)
-    inv_c = 1.0 / (_binomial_normalizer(a1, p) * _binomial_normalizer(a2, p))
-    return (bilateral.bailey_series(bp, "left", eps).scaled(inv_c),
-            bilateral.bailey_series(bp, "right", eps).scaled(inv_c))
+    # is the four-product sum at the mapped factors and z = p^theta.
+    b1p, a1p, c1 = _binomial_factor(qp.p, a1, b1)
+    b2p, a2p, c2 = _binomial_factor(qp.p, a2, b2)
+    bp = BaileyParams(qp=qp, a1=a1p, a2=a2p, b1=b1p, b2=b2p,
+                      z=_cpow(qp.p, params.get("theta", 0.0)))
+    return (bilateral.bailey_series(bp, "left", eps).scaled(c1 * c2),
+            bilateral.bailey_series(bp, "right", eps).scaled(c1 * c2))
 
 
 def _multibasic_params(params: Mapping[str, Any]) -> MultibasicParams:

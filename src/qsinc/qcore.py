@@ -277,7 +277,10 @@ def _vanishing_factor(a: complex, q: complex) -> int | None:
     if a == 0:
         return None
     m = round(-math.log(abs(a)) / math.log(abs(q)))
-    u = complex(a) * complex(q) ** m
+    try:
+        u = complex(a) * complex(q) ** m
+    except OverflowError:  # |a| is subnormal and q^m past 1e308: in logs
+        u = cmath.exp(cmath.log(a) + m * cmath.log(q))
     return m if abs(1.0 - u) < POLE_TOL * (1.0 + abs(u)) else None
 
 
@@ -288,16 +291,24 @@ def _has_zero_factor(a: complex, q: complex) -> bool:
 
 
 def _principal_power(base: complex, expo: complex) -> complex:
-    """base**expo with the principal branch of the logarithm."""
+    """base**expo with the principal branch of the logarithm; a power that
+    overflows is NoConvergence."""
     if base == 0:
         raise ZeroArgument("0 raised to a complex power")
-    return cmath.exp(complex(expo) * cmath.log(complex(base)))
+    try:
+        return cmath.exp(complex(expo) * cmath.log(complex(base)))
+    except OverflowError:
+        raise NoConvergence(f"{base}**{expo} overflows") from None
 
 
 def _cpow(base: complex, expo: complex) -> complex:
-    """base**expo, exact for integer exponents, else the principal branch."""
+    """base**expo, exact for integer exponents, else the principal branch;
+    a power that overflows is NoConvergence."""
     if isinstance(expo, int) or (isinstance(expo, float) and expo.is_integer()):
-        return complex(base) ** int(expo)
+        try:
+            return complex(base) ** int(expo)
+        except OverflowError:
+            raise NoConvergence(f"{base}**{expo} overflows") from None
     return _principal_power(base, expo)
 
 
@@ -306,7 +317,8 @@ def qgamma(x: complex, q: complex) -> complex:
 
     Gamma_q(x) = (q;q)_inf / (q^x;q)_inf * (1-q)^(1-x), principal branch.
     The product ratio is accumulated factor by factor: both products underflow
-    to zero for q near 1, but their factor ratios stay of order one.
+    to zero for q near 1, but their factor ratios stay of order one.  A value
+    that is not finite is NoConvergence.
     """
     aq = abs(q)
     if not 0.0 < aq < 1.0:
@@ -322,9 +334,13 @@ def qgamma(x: complex, q: complex) -> complex:
     if _has_zero_factor(qx, q):
         raise PoleAtNonpositiveInteger(f"Gamma_q pole at x={x}")
     powers = np.power(complex(q), np.arange(n))
-    ratio = complex(np.prod((1.0 - complex(q) * powers)
-                            / (1.0 - qx * powers)))
-    return ratio * _principal_power(1.0 - q, 1.0 - complex(x))
+    with np.errstate(all="ignore"):  # a ratio that is not finite is typed
+        ratio = complex(np.prod((1.0 - complex(q) * powers)
+                                / (1.0 - qx * powers)))
+    value = ratio * _principal_power(1.0 - q, 1.0 - complex(x))
+    if not cmath.isfinite(value):
+        raise NoConvergence(f"Gamma_q({x}) is {value:.3g} at q={q}")
+    return value
 
 
 def qbinomial(a: complex, b: complex, q: complex) -> complex:
@@ -353,11 +369,16 @@ def qbinomial(a: complex, b: complex, q: complex) -> complex:
 
 
 def theta_product(z: complex, q: complex) -> complex:
-    """Jacobi triple product (q, -z, -q/z; q)_infty."""
+    """Jacobi triple product (q, -z, -q/z; q)_infty; one that is not finite
+    is NoConvergence."""
     if z == 0:
         raise ZeroArgument("theta_product requires z != 0")
     aq = abs(q)
     if not 0.0 < aq < 1.0:
         raise InvalidBase(f"need 0 < |q| < 1, got {aq}")
-    return (qpoch_inf(q, q) * qpoch_inf_large(-z, q)
-            * qpoch_inf_large(-complex(q) / complex(z), q))
+    with np.errstate(all="ignore"):  # a product that is not finite is typed
+        theta = (qpoch_inf(q, q) * qpoch_inf_large(-z, q)
+                 * qpoch_inf_large(-complex(q) / complex(z), q))
+    if not cmath.isfinite(theta):
+        raise NoConvergence(f"(q, -z, -q/z; q)_inf is {theta:.3g} at z={z}")
+    return theta

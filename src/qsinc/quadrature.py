@@ -299,33 +299,35 @@ def _symmetric_model(params: SeriesParams, mu: complex = 0.0):
             _decay(factors, q, z, mu))
 
 
-def _binomial_normalizer(a: float, p: complex) -> complex:
-    """(p, p^(a+1); p)_inf, the denominator of [a; u]_p as a product ratio;
-    it vanishes at the Gamma_p(a+1) poles a = -1, -2, ...
-    (PoleAtNonpositiveInteger).  A product that underflows to 0 without a
-    vanishing factor, as (p; p)_inf does for p near 1, is NoConvergence."""
-    pa = _cpow(p, a + 1.0)
+def _binomial_factor(p: complex, a: complex,
+                     b: complex) -> tuple[complex, complex, complex]:
+    """p^(b+1), p^(a-b+1) and 1/(p, p^(a+1); p)_inf: [a; b + alpha x]_p =
+    (p^(b+1) p^(alpha x), p^(a-b+1) p^(-alpha x); p)_inf / (p, p^(a+1); p)_inf.
+    The normalizer vanishes at the Gamma_p(a+1) poles a = -1, -2, ...
+    (PoleAtNonpositiveInteger).  One that underflows to 0 without a
+    vanishing factor, as (p; p)_inf does for p near 1, or is not finite, is
+    NoConvergence, as is a power that overflows."""
+    pb, pab, pa = (_cpow(p, e) for e in (b + 1.0, a - b + 1.0, a + 1.0))
     if _has_zero_factor(pa, p):
         raise PoleAtNonpositiveInteger(f"Gamma_p(a+1) pole at a={a}")
-    norm = qpoch_inf(p, p) * qpoch_inf(pa, p)
+    with np.errstate(all="ignore"):  # a normalizer not finite is typed below
+        norm = qpoch_inf(p, p) * qpoch_inf(pa, p)
     if norm == 0:
         raise NoConvergence(
             f"(p, p^(a+1); p)_inf underflows to 0 at p={p:.6g}")
-    return norm
+    if not cmath.isfinite(norm):
+        raise NoConvergence(f"(p, p^(a+1); p)_inf is {norm:.3g} at p={p:.6g}")
+    return pb, pab, 1.0 / norm
 
 
 def _multibasic_model(params: MultibasicParams):
     """(integrand, decay) of prod_j [a_j; b_j + alpha_j x]_{p_j}
-    / (-z q^x, -q^(1-x)/z; q)_inf.
-
-    [a; b + alpha x]_p = (p^(b+1) p^(alpha x), p^(a-b+1) p^(-alpha x); p)_inf
-    / (p, p^(a+1); p)_inf."""
+    / (-z q^x, -q^(1-x)/z; q)_inf, each factor mapped by _binomial_factor."""
     factors, const = [], 1.0
     for (p, a, b), alpha in zip(params.factors, params.alphas):
-        pc = complex(p)
-        factors.append((pc, _cpow(pc, a - b + 1.0), _cpow(pc, b + 1.0),
-                        alpha * cmath.log(pc)))
-        const /= _binomial_normalizer(a, pc)
+        pb, pab, inv_norm = _binomial_factor(p, a, b)
+        factors.append((complex(p), pab, pb, alpha * cmath.log(p)))
+        const *= inv_norm
     return (_integrand(factors, params.q, params.z, const, inv_den=True),
             _decay(factors, params.q, params.z))
 

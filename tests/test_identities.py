@@ -113,6 +113,22 @@ class TestVerify:
             verify(IdentityId.QBinomialForm,
                    {"a": 2.0, "b": 1.0, "alpha": 1.2, "p": 0.36, "z": 1.0})
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_qbinomial_is_the_one_factor_multibasic(self, alpha, p):
+        # At the catalog points: the q-binomial form is the multibasic sum
+        # and integral of the one factor (p, a, b) at q = p^alpha.
+        qbin = verify(IdentityId.QBinomialForm, {"a": 2.0, "b": 1.0,
+                                                 "alpha": alpha, "p": p,
+                                                 "z": 1.0})
+        multi = verify(IdentityId.Multibasic, {"p1": p, "a1": 2.0,
+                                               "b1": 1.0, "q": p ** alpha,
+                                               "z": 1.0})
+        assert qbin.passed
+        assert (qbin.lhs, qbin.rhs) == (multi.lhs, multi.rhs)
+        assert (qbin.lhs_diag, qbin.rhs_diag) == (multi.lhs_diag,
+                                                  multi.rhs_diag)
+
     def test_multibasic_constraint_guard(self):
         with pytest.raises(InvalidParams):
             verify(IdentityId.Multibasic,
