@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath
@@ -216,27 +217,35 @@ class TestClassicalSumInt:
         with pytest.raises(QuadratureFailure, match="refinement"):
             classical_integral(2.0, alpha, 1, series_eps)
 
-    def test_doubling_reports_the_terms_it_evaluated(self):
-        # A block sum that never shrinks: the message named the budget,
-        # 1000000, after 1048577 terms had been evaluated.
-        evaluated = []
+    def test_window_over_budget_evaluates_no_binomial(self, monkeypatch):
+        # A w within 1e-12 of 1 needs a window of about 1e13 terms: typed
+        # before any binomial is evaluated.
+        calls = []
 
-        def flat(n):
-            evaluated.append(n.size)
-            return float(n.size)
+        def counting(a, u):
+            calls.append(np.size(u))
+            return binomial_profile(a, u)
 
-        with pytest.raises(SlowConvergence) as info:
-            classical._bilateral_doubling(flat, 1e-10)
-        assert sum(evaluated) == 1_048_577
-        assert str(info.value) == "no convergence after 1048577 terms"
+        monkeypatch.setattr(classical, "binomial_profile", counting)
+        start = time.perf_counter()
+        for side in (
+                lambda: osler_sum(OslerParams(a=0.5, b=0.0, alpha=1.0,
+                                              theta=math.pi - 1e-12), 1e-10),
+                lambda: classical_sum(0.5, 1.0 - 1e-12, 2, 1e-10),
+                lambda: classical_integral(0.5, 1.0 - 1e-12, 2, 1e-10)):
+            with pytest.raises(SlowConvergence, match="SERIES_MAX_TERMS"):
+                side()
+        assert calls == []
+        assert time.perf_counter() - start < 0.05
 
     @pytest.mark.parametrize("a,l,alpha,verdict", [
-        (0.7, 1, 1.0, "SlowConvergence"),
+        (0.7, 1, 1.0, "pass"),
         (0.5, 1, 1.5, "pass"),
     ])
     def test_bounded_memory(self, a, l, alpha, verdict):
         # Under the benchmark worker's 512 MiB address-space cap both points
-        # escaped MemoryError from the former Gauss-Legendre ring loop.
+        # escaped MemoryError from the former Gauss-Legendre ring loop; the
+        # first then needed a million-term window, and now has a short one.
         src = str(Path(qsinc.__file__).resolve().parents[1])
         code = (
             "import resource, sys\n"
@@ -268,6 +277,10 @@ class TestClassicalSumInt:
         with pytest.raises(InvalidParams):
             verify(IdentityId.ClassicalSumInt,
                    {"a": 2.0, "alpha": 1.0, "l": 0}, eps=series_eps)
+        # Terms like |n|^-((a+1) l) = |n|^-1: both sides diverge.
+        for side in (classical_sum, classical_integral):
+            with pytest.raises(InvalidParams, match="decay"):
+                side(-0.5, 1.0, 2, series_eps)
 
 
 # The osler and classical-sum-int points of the benchmark's catalog
@@ -295,3 +308,114 @@ def test_two_sweep_threads_give_the_same_reports(ident, points):
     two, s2 = sweep_points(ident, points, threads=2)
     assert s1 == s2 and s1["passed"] == len(points)
     assert [fields(r) for r in one] == [fields(r) for r in two]
+
+
+@pytest.mark.parametrize("ident,points", [
+    (IdentityId.Osler, _OSLER_POINTS),
+    (IdentityId.ClassicalSumInt, _CLASSICAL_POINTS),
+], ids=["osler", "classical-sum-int"])
+def test_one_binomial_call_per_side(monkeypatch, ident, points):
+    # One window per side: the sum and the integral's four lattices are
+    # each one binomial_profile call; the tails evaluate no binomial.
+    calls = []
+
+    def counting(a, u):
+        calls.append(np.size(u))
+        return binomial_profile(a, u)
+
+    monkeypatch.setattr(classical, "binomial_profile", counting)
+    for params in points:
+        calls.clear()
+        report = verify(ident, params)
+        assert report.passed
+        sides = [d for d in (report.lhs_diag, report.rhs_diag)
+                 if d["method"] != "closed-form"]
+        assert len(calls) == len(sides)
+        assert calls == [d["terms_used"] or d["nodes_used"] for d in sides]
+
+
+def _sinc2_tail(u0: float, alpha: float, theta: float, n: int):
+    """Sum over |k| > n of sinc(u)^2 e^(i theta u), u = u0 + alpha k, where
+    sinc(u) = sin(pi u)/(pi u) = binom(0, u), in mpmath.
+
+    At each end y = +-u (e^(+-i theta y)), sin^2(pi y) = (2 - e^(2 pi i y)
+    - e^(-2 pi i y))/4 and each sum over m > n of e^(i nu y)/y^2, y =
+    alpha (m + x), is alpha^-2 e^(i nu alpha x) w^(n+1) Phi(w, 2, n+1+x),
+    w = e^(i nu alpha): mpmath.zeta(2, .) at w = 1, else mpmath.lerchphi.
+    """
+    mp = mpmath.mp
+    total = mp.mpc(0)
+    for beta, s in ((mp.mpf(u0), 1), (-mp.mpf(u0), -1)):
+        x = beta / alpha
+        big_x = n + 1 + x
+        for weight, nu in ((2, s * theta), (-1, s * theta + 2 * mp.pi),
+                           (-1, s * theta - 2 * mp.pi)):
+            turns = nu * alpha / (2 * mp.pi)
+            if abs(turns - mpmath.nint(turns)) < 1e-20:
+                phi = mpmath.zeta(2, big_x)
+            else:
+                w = mpmath.expj(nu * alpha)
+                phi = w ** (n + 1) * mpmath.lerchphi(w, 2, big_x)
+            total += (weight * mpmath.expj(nu * beta) * phi
+                      / (4 * mp.pi ** 2 * alpha ** 2))
+    return complex(total)
+
+
+@pytest.mark.parametrize("alpha,theta", [
+    (1.0, 0.0),  # w = 1 only: Hurwitz zeta
+    (0.5, 0.0),  # w = 1 and w = -1
+    (0.3, 0.7),  # generic w on the unit circle
+    (0.5, 1.2),
+])
+def test_tails_against_lerch_phi(alpha, theta):
+    # binom(0, u)^2 = sinc(u)^2 has R(y)^2 = y^-2 exactly, so its tails are
+    # Lerch sums in closed form.  n is past the window that _bilateral sets
+    # at these points (at most 267, for (0.3, 0.7)).  The phases
+    # e^(i phi alpha n), |phi alpha n| ~ 1e3, carry about 1e-13 of rounding.
+    u0, n = np.array([0.37]), 400
+    with mpmath.workdps(20):
+        exact = np.array([_sinc2_tail(u, alpha, theta, n) for u in u0])
+    got, omitted = classical._tails(0.0, 2, alpha, theta, n, u0,
+                                    *classical._phases(2, alpha, theta))
+    scale = np.abs(exact).max()
+    assert scale > 1e-7
+    assert np.abs(got - exact).max() <= 1e-12 * scale
+    assert omitted.max() < 1e-12 * scale
+
+
+# The classical grid of ROADMAP item 9: a pair of (a + 1) l <= 2.6 points
+# there needed windows of 1,048,577 terms and ended SlowConvergence.
+_GRID = [(a, l, alpha) for a in (0.1, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0)
+         for l in (1, 2, 3, 4)
+         for alpha in sorted({0.25, 0.5, 1.0, 2.0 / l}) if alpha <= 2.0 / l]
+
+
+def test_classical_grid_passes_against_closed_forms():
+    assert len(_GRID) == 84
+    for a, l, alpha in _GRID:
+        start = time.perf_counter()
+        report = verify(IdentityId.ClassicalSumInt,
+                        {"a": a, "l": l, "alpha": alpha})
+        assert report.passed, (a, l, alpha, report.lhs_diag)
+        assert report.rel_err < 1e-13, (a, l, alpha)
+        assert time.perf_counter() - start < 0.05
+        if l == 1:  # sum_n binom(a, alpha n) = 2^a / alpha
+            closed = 2.0 ** a / alpha
+        elif l == 2 and alpha <= 1.0:  # Vandermonde, for alpha <= 1
+            closed = math.gamma(2 * a + 1) / math.gamma(a + 1) ** 2 / alpha
+        else:
+            continue
+        assert rel_err(report.lhs, closed) < 1e-13, (a, l, alpha)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.3, 1.5, 3.0])
+def test_osler_sweep_against_closed_form(a):
+    for alpha in (0.25, 0.5, 1.0):
+        for b in (0.0, 0.3):
+            for frac in (0.0, 0.5, -0.5, 0.9, -0.9):
+                theta = frac * math.pi * alpha
+                side = osler_sum(OslerParams(a=a, b=b, alpha=alpha,
+                                             theta=theta), 1e-10)
+                closed = (1.0 + cmath.exp(1j * theta)) ** a / alpha
+                assert abs(side.value - closed) <= 1e-12 * abs(closed), (
+                    alpha, b, frac)

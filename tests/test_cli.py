@@ -185,7 +185,7 @@ class TestJsonFormat:
         assert set(diag) == {"lhs", "rhs", "rule"}
         assert list(diag["lhs"]) == list(diag["rhs"])
         assert diag["rule"] in ("abs", "rel")
-        assert diag["lhs"]["method"] in ("doubling", "series")
+        assert diag["lhs"]["method"] == "series"
         assert diag["lhs"]["terms_used"] > 0
 
     def test_elapsed_zeroed_without_timing(self, capsys):
@@ -298,9 +298,12 @@ class TestLimitCommand:
         assert "invalid parameters" in err
 
     def test_inconclusive_ladder_exit_three(self, capsys):
-        # Terms decay like |n|^-1.3: the 1e-10 rung runs out of terms.
+        # theta is 1e-11 below pi alpha = pi, so the term ratio w = e^(i (pi
+        # + theta)) is within 1e-11 of 1, and the tail's window would need
+        # about 1e13 terms.
         code, out, err = run(capsys, "limit", "--identity", "osler",
-                             "--a", "0.3", "--alpha", "0.5")
+                             "--a", "0.3", "--alpha", "1",
+                             "--theta", "3.14159265358")
         assert code == 3 and out == ""
         assert "SlowConvergence" in err
 

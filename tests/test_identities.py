@@ -420,7 +420,7 @@ class TestDiagnostics:
         for diag in (report.lhs_diag, report.rhs_diag):
             assert list(diag) == self._KEYS
             assert diag["method"] in SIDE_METHODS
-            if diag["method"] in ("series", "doubling"):
+            if diag["method"] == "series":
                 assert diag["terms_used"] > 0
                 assert diag["half_width_used"] > 0
             if diag["method"] == "trapezoid":

@@ -186,7 +186,7 @@ class TestSide:
     def test_sum_adds_counts_and_estimates(self):
         a = Side(1.0, "trapezoid", nodes_used=8, half_width_used=64.0,
                  refinements_used=1, tail_estimate=1e-9, error_estimate=2e-9)
-        b = Side(0.5, "doubling", nodes_used=16, half_width_used=32.0,
+        b = Side(0.5, "series", nodes_used=16, half_width_used=32.0,
                  tail_estimate=1e-10, error_estimate=1e-10)
         total = a + b
         assert total.value == 1.5
