@@ -248,13 +248,15 @@ def _tails(a: float, l: int, alpha: float, theta: float, n: int,
     # integral over h > 0 is Y^-t sum_k e_k Y^(1-k) / (alpha (t+k-1)), the
     # row r = _K + 1 of f.  f[0] keeps the terms k + r < _K, f[1] the first
     # omitted ones; Y^-t is in amp.
-    y = alpha * (n + 1) + np.array([u0 - a, -u0])
+    beta = np.array([u0 - a, -u0])
+    y0 = alpha * (n + 1)
+    y = y0 + beta
     zk = (1.0 / y.ravel()) ** _Y_POWERS[:, None]
     coef = np.empty((_K + 1, _K + 2))
     coef[:, :-1] = (t + _KR) * (-alpha * _INV_R)  # (t+k)_r (-alpha)^r / r!
     coef[:, 0] = 1.0
     coef[:, :-1] = np.cumprod(coef[:, :-1], axis=1)
-    coef[:, -1] = 1.0 / (alpha * (t + _KK - 1.0))
+    coef[:, -1] = 1.0 / (alpha * (a * l + (l - 1.0 + _KK)))  # t + k - 1
     coef = coef * e[:, None] * _ORDER
     f = (coef.transpose(0, 2, 1) @ zk[:_K + 1]) * zk
     # L_r(w) per (end, j), and 1 at r = _K + 1 for w = 1 (the integral).
@@ -267,8 +269,13 @@ def _tails(a: float, l: int, alpha: float, theta: float, n: int,
     sign = [(-1) ** j * math.comb(l, j) / (2j) ** l for j in range(l + 1)]
     amp = np.exp(l * (math.lgamma(c) - math.log(math.pi)) - t * np.log(y))
     amp = amp * np.array([[np.exp(1j * theta * a)], [1.0]])
-    terms = (amp[:, :, None] * np.array(sign)
-             * np.exp(1j * phi[:, None, :] * y[:, :, None]) * core)
+    # e^(i phi_j Y), Y = y0 + beta, with pi (l - 2j) y0 reduced mod 2 pi
+    # before it is rounded: when the sum over j cancels to a small
+    # sin^l(pi Y), its phases must be exact to well below it.
+    turns = np.mod((l - 2.0 * np.arange(l + 1)) * y0, 2.0)
+    base = np.exp(1j * (np.pi * turns + np.array([[theta], [-theta]]) * y0))
+    terms = (amp[:, :, None] * np.array(sign) * base[:, None, :]
+             * np.exp(1j * phi[:, None, :] * beta[:, :, None]) * core)
     return terms[0].sum(axis=(0, 2)), np.abs(terms[1]).sum(axis=(0, 2))
 
 
