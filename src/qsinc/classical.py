@@ -6,7 +6,9 @@ sides of those classical identities, which also serve as q -> 1 targets for
 the q modules.  Both sides run on one engine, _bilateral: the sum over the
 integers, and the integral as a trapezoid sum on lattices off them.  Each is
 one window |n| <= N, evaluated by one binomial_profile call, plus a
-closed-form asymptotic tail past it (_tails).
+closed-form asymptotic tail past it (_tails).  binomial_real is the profile
+at one argument; _gamma_pole is the one pole rule, exact, of the profile,
+binomial_real and gamma_classical.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import (
 from .qcore import SERIES_MAX_TERMS, Side, _check_eps
 from .util import fsum_complex
 
-_INT_TOL = 1e-9  # distance below which a value counts as an exact integer
 _LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
             771.32342877765313, -176.61502916214059, 12.507343278686905,
             -0.13857109526572012, 9.9843695780195716e-6,
@@ -111,14 +112,15 @@ class OslerParams:
             raise InvalidParams(f"need |theta| < pi, got {self.theta}")
 
 
-def _near_nonpositive_integer(x: float) -> bool:
-    return x < 0.5 and abs(x - round(x)) < _INT_TOL
+def _gamma_pole(x: float) -> bool:
+    """Whether Gamma has a pole at x: x <= 0 and integral, exactly."""
+    return x <= 0.0 and x == math.floor(x)
 
 
 def gamma_classical(x: float) -> float:
     """Classical Gamma function by math.gamma; a pole and a value that
     overflows (NoConvergence) raise typed errors."""
-    if _near_nonpositive_integer(x):
+    if _gamma_pole(x):
         raise PoleAtNonpositiveInteger(f"Gamma pole at x={x}")
     try:
         return math.gamma(x)
@@ -127,23 +129,17 @@ def gamma_classical(x: float) -> float:
 
 
 def binomial_real(a: float, u: float) -> float:
-    """Real-order binomial coefficient Gamma(a+1)/(Gamma(u+1)Gamma(a-u+1)).
-
-    Evaluated through log-Gamma with explicit signs so large arguments never
-    overflow; a pole in exactly one denominator Gamma gives 0.
-    """
-    num_pole = _near_nonpositive_integer(a + 1.0)
-    den_pole = (_near_nonpositive_integer(u + 1.0)
-                or _near_nonpositive_integer(a - u + 1.0))
-    if num_pole and den_pole:
-        raise IndeterminateRatio(
-            f"coincident Gamma poles in binomial(a={a}, u={u})"
-        )
-    if num_pole:
-        raise PoleAtNonpositiveInteger(f"Gamma(a+1) pole at a={a}")
-    if den_pole:
-        return 0.0
-    return float(binomial_profile(a, np.asarray([u]))[0])
+    """Real-order binomial coefficient Gamma(a+1)/(Gamma(u+1)Gamma(a-u+1)):
+    binomial_profile at one argument.  A Gamma(a+1) pole that coincides
+    with a denominator pole is IndeterminateRatio."""
+    try:
+        return float(binomial_profile(a, np.asarray([u]))[0])
+    except PoleAtNonpositiveInteger:
+        if _gamma_pole(u + 1.0) or _gamma_pole(a - u + 1.0):
+            raise IndeterminateRatio(
+                f"coincident Gamma poles in binomial(a={a}, u={u})"
+            ) from None
+        raise
 
 
 def binomial_profile(a: float, u: np.ndarray) -> np.ndarray:
@@ -155,7 +151,7 @@ def binomial_profile(a: float, u: np.ndarray) -> np.ndarray:
     exactly, with the rounding error of u - a added back.
     """
     c = a + 1.0
-    if c <= 0.0 and c == math.floor(c):
+    if _gamma_pole(c):
         raise PoleAtNonpositiveInteger(f"Gamma(a+1) pole at a={a}")
     scale = math.lgamma(c) + c  # + c: the x - y of Stirling's formulas
     gain = (-1.0 if c < 0.0 and math.floor(c) % 2 else 1.0) / math.pi

@@ -264,33 +264,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _limit_rows(args: argparse.Namespace) -> list[dict[str, Any]]:
-    name = args.identity
-    params = _collect_params(args, grids=False)
+    if args.identity != "qgamma":
+        raise UsageError("limit supports identity qgamma")
+    x = _collect_params(args, grids=False).get("x", 1.5)
+    if isinstance(x, complex):
+        raise InvalidParams(f"x must be real, got {format_complex(x)}")
+    rhs = gamma_classical(x)
     rows: list[dict[str, Any]] = []
-    if name in ("osler", "classical-sum-int"):
-        ident = _identity_from_name(name)
-        defaults = ({"a": 2.0, "alpha": 0.5} if ident is IdentityId.Osler
-                    else {"a": 2.0, "alpha": 1.0, "l": 2})
-        for eps in (1e-4, 1e-6, 1e-8, 1e-10):
-            report = identities.verify(ident, {**defaults, **params}, eps=eps)
-            if report.lhs_diag.get("status") == "inconclusive":
-                raise QsincError(report.lhs_diag["reason"])
-            rows.append({"parameter": eps, "lhs": report.lhs,
-                         "rhs": report.rhs, "error": report.abs_err})
-    elif name == "qgamma":
-        x = params.get("x", 1.5)
-        if isinstance(x, complex):
-            raise InvalidParams(f"x must be real, got {format_complex(x)}")
-        rhs = gamma_classical(x)
-        for k in (2, 3, 4):
-            q = 1.0 - 10.0 ** (-k)
-            lhs = qgamma(x, q)
-            rows.append({"parameter": q, "lhs": lhs, "rhs": rhs,
-                         "error": abs(lhs - rhs)})
-    else:
-        raise UsageError(
-            "limit supports identities osler, classical-sum-int, qgamma"
-        )
+    for k in (2, 3, 4):
+        q = 1.0 - 10.0 ** (-k)
+        lhs = qgamma(x, q)
+        rows.append({"parameter": q, "lhs": lhs, "rhs": rhs,
+                     "error": abs(lhs - rhs)})
     return rows
 
 
@@ -358,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="verify bilateral q-series identities")
     parser.add_argument("command", choices=tuple(_COMMANDS),
                         help="verify one point, sweep a grid, tabulate a "
-                             "classical limit or list the catalog")
+                             "q -> 1 limit or list the catalog")
     parser.add_argument("--identity", default=None)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--format", choices=("json", "csv", "text"),

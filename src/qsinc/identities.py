@@ -22,18 +22,18 @@ from typing import Any, Callable, Mapping
 from . import bilateral, classical, quadrature
 from .bilateral import _product_model, _sum_pairs
 from .classical import OslerParams
-from .errors import DomainError, InvalidGrid, InvalidParams, QsincError
+from .errors import InvalidGrid, InvalidParams, QsincError
 from .qcore import (
     BaileyParams,
     MultibasicParams,
     QParams,
     SeriesParams,
     Side,
+    _binomial_factor,
     _cpow,
     qpoch_inf,
     theta_product,
 )
-from .quadrature import _binomial_factor
 
 
 class IdentityId(Enum):
@@ -186,20 +186,18 @@ def _integer(params: Mapping[str, Any], name: str,
 
 
 def verify(ident: IdentityId, params: Mapping[str, Any],
-           tol: float | None = None,
-           eps: float | None = None) -> IdentityReport:
+           tol: float | None = None) -> IdentityReport:
     """Evaluate both sides of one identity and report the comparison.
 
-    Every sum and integral is computed to the target precision eps, by
-    default min(tol/100, 1e-10); an eps outside (0, 1) is InvalidParams.
+    Every sum and integral is computed to the one target precision
+    eps = min(tol/100, 1e-10); an eps outside (0, 1) is InvalidParams.
     InvalidParams (violated hypotheses) propagates to the caller; numerical
     failures (no convergence, quadrature failure) yield an inconclusive
     report with passed=False and the failure reason in the diagnostics.
     """
     if tol is None:
         tol = DEFAULT_TOL[ident]
-    if eps is None:
-        eps = min(tol / 100.0, 1e-10)
+    eps = min(tol / 100.0, 1e-10)
     start = time.perf_counter()
     try:
         lhs, rhs = _IDENTITIES[ident][0](params, eps)
@@ -221,10 +219,8 @@ def verify(ident: IdentityId, params: Mapping[str, Any],
       "bilateral product series equals its companion dt/t integral")
 def _arm_main(params, eps):
     sp = _series_params(params)
-    if complex(sp.z).real <= 0.0:  # main_integral's domain, checked first
-        raise DomainError(f"Re z must be positive, got z={sp.z}")
-    return (bilateral.main_series(sp, eps),
-            quadrature.main_integral(sp, eps))
+    rhs = quadrature.main_integral(sp, eps)  # checks Re z > 0 first
+    return bilateral.main_series(sp, eps), rhs
 
 
 @_arm(IdentityId.Symmetric, _QUAD_TOL,

@@ -6,8 +6,10 @@ precision: it keeps the first N factors, where the log-tail bound
 |a q^N| < 1/2, which the bound needs.  A product that would need more than
 PRODUCT_MAX_FACTORS factors raises NoConvergence.  No caller chooses either
 value.  _vanishing_factor alone decides whether a factor 1 - a q^m is zero.
-Sums and integrals take one precision eps, checked by _check_eps; a sum may
-use at most SERIES_MAX_TERMS terms.
+_binomial_factor is the one map of the q-binomial factor [a; b + alpha x]_p,
+for the multibasic and four-product models and for qbinomial, its value at
+x = 0.  Sums and integrals take one precision eps, checked by _check_eps; a
+sum may use at most SERIES_MAX_TERMS terms.
 """
 
 from __future__ import annotations
@@ -343,29 +345,50 @@ def qgamma(x: complex, q: complex) -> complex:
     return value
 
 
+def _binomial_factor(p: complex, a: complex,
+                     b: complex) -> tuple[complex, complex, complex]:
+    """p^(b+1), p^(a-b+1) and 1/(p, p^(a+1); p)_inf: [a; b + alpha x]_p =
+    (p^(b+1) p^(alpha x), p^(a-b+1) p^(-alpha x); p)_inf / (p, p^(a+1); p)_inf.
+    The normalizer vanishes at the Gamma_p(a+1) poles a = -1, -2, ...
+    (PoleAtNonpositiveInteger).  One that underflows to 0 without a
+    vanishing factor, as (p; p)_inf does for p near 1, or is not finite, is
+    NoConvergence, as is a power that overflows."""
+    pb, pab, pa = (_cpow(p, e) for e in (b + 1.0, a - b + 1.0, a + 1.0))
+    if _has_zero_factor(pa, p):
+        raise PoleAtNonpositiveInteger(f"Gamma_p(a+1) pole at a={a}")
+    with np.errstate(all="ignore"):  # a normalizer not finite is typed below
+        norm = qpoch_inf(p, p) * qpoch_inf(pa, p)
+    if norm == 0:
+        raise NoConvergence(
+            f"(p, p^(a+1); p)_inf underflows to 0 at p={p:.6g}")
+    if not cmath.isfinite(norm):
+        raise NoConvergence(f"(p, p^(a+1); p)_inf is {norm:.3g} at p={p:.6g}")
+    return pb, pab, 1.0 / norm
+
+
 def qbinomial(a: complex, b: complex, q: complex) -> complex:
     """q-binomial coefficient Gamma_q(a+1)/(Gamma_q(b+1) Gamma_q(a-b+1)).
 
-    The (1-q) power prefactors cancel exactly, so the coefficient reduces to
-    a ratio of four infinite products; denominator Gamma poles map to zeros.
+    The map of _binomial_factor at x = 0: its two numerator products times
+    its normalizer (the (1-q) powers cancel exactly).  A denominator
+    Gamma_q pole, a vanishing numerator factor, gives exactly 0; one that
+    coincides with a Gamma_q(a+1) pole is IndeterminateRatio.
     """
     aq = abs(q)
     if not 0.0 < aq < 1.0:
         raise InvalidBase(f"need 0 < |q| < 1, got {aq}")
-    qa1 = _principal_power(q, complex(a) + 1.0)
-    qb1 = _principal_power(q, complex(b) + 1.0)
-    qab1 = _principal_power(q, complex(a) - complex(b) + 1.0)
-    num_vanishes = _has_zero_factor(qb1, q) or _has_zero_factor(qab1, q)
-    if _has_zero_factor(qa1, q):
-        if num_vanishes:
+    try:
+        pb, pab, inv_norm = _binomial_factor(q, a, b)
+    except PoleAtNonpositiveInteger:
+        if any(_has_zero_factor(_cpow(q, e), q)
+               for e in (b + 1.0, a - b + 1.0)):
             raise IndeterminateRatio(
                 f"coincident Gamma_q poles in qbinomial(a={a}, b={b})"
-            )
-        raise PoleAtNonpositiveInteger(f"Gamma_q(a+1) pole at a={a}")
-    if num_vanishes:
+            ) from None
+        raise
+    if _has_zero_factor(pb, q) or _has_zero_factor(pab, q):
         return 0.0 + 0.0j
-    return (qpoch_inf(qb1, q) * qpoch_inf(qab1, q)
-            / (qpoch_inf(q, q) * qpoch_inf(qa1, q)))
+    return qpoch_inf(pb, q) * qpoch_inf(pab, q) * inv_norm
 
 
 def theta_product(z: complex, q: complex) -> complex:

@@ -38,16 +38,14 @@ from .errors import (
     InvalidDecay,
     InvalidParams,
     NoConvergence,
-    PoleAtNonpositiveInteger,
     QuadratureFailure,
 )
 from .qcore import (
     MultibasicParams,
     SeriesParams,
     Side,
+    _binomial_factor,
     _check_eps,
-    _cpow,
-    _has_zero_factor,
     _vanishing_factor,
     qpoch_inf,
     qpoch_inf_large,  # unused here; perfbench/tracing.py binds it
@@ -297,27 +295,6 @@ def _symmetric_model(params: SeriesParams, mu: complex = 0.0):
                 cmath.log(q)),)
     return (_integrand(factors, q, z, mu=mu, inv_den=True),
             _decay(factors, q, z, mu))
-
-
-def _binomial_factor(p: complex, a: complex,
-                     b: complex) -> tuple[complex, complex, complex]:
-    """p^(b+1), p^(a-b+1) and 1/(p, p^(a+1); p)_inf: [a; b + alpha x]_p =
-    (p^(b+1) p^(alpha x), p^(a-b+1) p^(-alpha x); p)_inf / (p, p^(a+1); p)_inf.
-    The normalizer vanishes at the Gamma_p(a+1) poles a = -1, -2, ...
-    (PoleAtNonpositiveInteger).  One that underflows to 0 without a
-    vanishing factor, as (p; p)_inf does for p near 1, or is not finite, is
-    NoConvergence, as is a power that overflows."""
-    pb, pab, pa = (_cpow(p, e) for e in (b + 1.0, a - b + 1.0, a + 1.0))
-    if _has_zero_factor(pa, p):
-        raise PoleAtNonpositiveInteger(f"Gamma_p(a+1) pole at a={a}")
-    with np.errstate(all="ignore"):  # a normalizer not finite is typed below
-        norm = qpoch_inf(p, p) * qpoch_inf(pa, p)
-    if norm == 0:
-        raise NoConvergence(
-            f"(p, p^(a+1); p)_inf underflows to 0 at p={p:.6g}")
-    if not cmath.isfinite(norm):
-        raise NoConvergence(f"(p, p^(a+1); p)_inf is {norm:.3g} at p={p:.6g}")
-    return pb, pab, 1.0 / norm
 
 
 def _multibasic_model(params: MultibasicParams):

@@ -269,13 +269,6 @@ class TestSweepCommand:
 
 
 class TestLimitCommand:
-    def test_osler_ladder(self, capsys):
-        code, out, _ = run(capsys, "limit", "--identity", "osler",
-                           "--a", "2", "--alpha", "0.5", "--theta", "0")
-        assert code == 0
-        rows = json.loads(out)
-        assert rows[-1]["error"] <= 1e-6
-
     def test_qgamma_ladder_monotone(self, capsys):
         code, out, _ = run(capsys, "limit", "--identity", "qgamma",
                            "--x", "1.5")
@@ -283,29 +276,21 @@ class TestLimitCommand:
         errors = [r["error"] for r in json.loads(out)]
         assert errors == sorted(errors, reverse=True)
 
-    def test_classical_boundary_case(self, capsys):
-        code, out, _ = run(capsys, "limit", "--identity",
-                           "classical-sum-int", "--a", "2", "--l", "2",
-                           "--alpha", "1")
-        assert code == 0
-        assert json.loads(out)[-1]["error"] <= 1e-6
-
-    def test_non_integral_l_rejected(self, capsys):
-        code, out, err = run(capsys, "limit", "--identity",
-                             "classical-sum-int", "--a", "2", "--l", "2.7",
-                             "--alpha", "0.5")
-        assert code == 2 and out == ""
-        assert "invalid parameters" in err
+    @pytest.mark.parametrize("identity", ["osler", "classical-sum-int"])
+    def test_classical_identity_is_a_usage_error(self, capsys, identity):
+        # A classical side has no q to take to 1: its eps ladder printed
+        # one value at every eps.
+        code, out, err = run(capsys, "limit", "--identity", identity,
+                             "--a", "2", "--alpha", "0.5", "--l", "2")
+        assert code == 64 and out == ""
+        assert "limit supports identity qgamma" in err
 
     def test_inconclusive_ladder_exit_three(self, capsys):
-        # theta is 1e-11 below pi alpha = pi, so the term ratio w = e^(i (pi
-        # + theta)) is within 1e-11 of 1, and the tail's window would need
-        # about 1e13 terms.
-        code, out, err = run(capsys, "limit", "--identity", "osler",
-                             "--a", "0.3", "--alpha", "1",
-                             "--theta", "3.14159265358")
+        # Gamma(800) is past the double range: typed, not a row of inf.
+        code, out, err = run(capsys, "limit", "--identity", "qgamma",
+                             "--x", "800")
         assert code == 3 and out == ""
-        assert "SlowConvergence" in err
+        assert "inconclusive: Gamma(800.0) overflows" in err
 
     def test_qgamma_complex_x_invalid(self, capsys):
         # float(x) raised a TypeError traceback (exit 1).
@@ -357,3 +342,37 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["pass"] is True
+
+
+_MAIN = ("--identity", "main", "--a", "0.2", "--b", "0.3", "--z", "1",
+         "--q", "0.6", "--p", "0.3")
+
+
+@pytest.mark.parametrize("argv, code, lines", [
+    (("verify", *_MAIN, "--format", "csv"), 0,
+     {0: "identity,a,b,p,q,z,lhs_re,lhs_im,rhs_re,rhs_im,abs_err,rel_err,"
+         "pass,elapsed_ms"}),
+    (("sweep", "--identity", "symmetric", "--q", "0.3,0.6", "--p", "0.1",
+      "--z", "1", "--a", "0.1", "--b", "0.2", "--format", "text"), 0,
+     {0: "symmetric [PASS]", -1: "summary: total=2 passed=2"}),
+    (("limit", "--identity", "qgamma", "--format", "csv"), 0,
+     {0: "parameter,lhs,rhs,error", 1: "0.99,"}),
+    (("limit", "--identity", "qgamma", "--format", "text"), 0,
+     {0: f"{'parameter':>12}  {'lhs':>24}  {'rhs':>24}  {'error':>10}"}),
+    (("sweep", *_MAIN, "--tol", "1e-20", "--format", "text"), 1,
+     {0: "main [FAIL]", 5: "  rule: rel"}),
+    # An invalid point is a failed report in a sweep, which exits 0 only
+    # when every point passes.
+    (("sweep", *_MAIN[:-4], "--q", "0.97", "--p", "0.3", "--format",
+      "text"), 1, {0: "main [FAIL]", 5: "  reason: |q|=0.97 > 0.95"}),
+    (("verify", "--identity", "weighted", "--a", "0.8", "--b", "-0.8",
+      "--q", "0.1", "--p", "0.095", "--m=-3", "--format", "text"), 3,
+     {0: "weighted [FAIL]", 5: "  reason: NoConvergence: term overflow"}),
+], ids=["verify-csv", "sweep-text", "limit-csv", "limit-text", "sweep-fail",
+        "sweep-invalid-point", "verify-reason"])
+def test_output_branch(capsys, argv, code, lines):
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    rows = out.splitlines()
+    for i, text in lines.items():
+        assert rows[i].startswith(text)

@@ -142,7 +142,7 @@ class TestVerify:
         point = {"alpha_sum": 0.8, "z": 1.0}
         for j, (p, a, b) in enumerate(factors, 1):
             point.update({f"p{j}": p, f"a{j}": a, f"b{j}": b})
-        report = verify(IdentityId.Multibasic, point, eps=1e-15)
+        report = verify(IdentityId.Multibasic, point, tol=1e-13)
         expected = MULTIBASIC_SERIES[factors]
         assert report.passed
         assert abs(report.lhs - expected) < 1e-13 * abs(expected)
@@ -190,17 +190,19 @@ class TestVerify:
         assert math.isinf(report.abs_err) and report.rule == "rel"
 
     def test_eps_reaches_both_sides(self):
+        # eps = min(tol/100, 1e-10): 1e-10 and 1e-14
         point = _POINTS[IdentityId.Main]
-        coarse = verify(IdentityId.Main, point, eps=1e-10)
-        fine = verify(IdentityId.Main, point, eps=1e-14)
+        coarse = verify(IdentityId.Main, point, tol=1e-8)
+        fine = verify(IdentityId.Main, point, tol=1e-12)
         assert coarse.passed and fine.passed
         assert fine.lhs_diag["terms_used"] > coarse.lhs_diag["terms_used"]
         assert fine.rhs_diag["nodes_used"] > coarse.rhs_diag["nodes_used"]
 
-    @pytest.mark.parametrize("eps", [0.0, 1.0, math.nan])
-    def test_eps_outside_unit_interval_rejected(self, eps):
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_eps_outside_unit_interval_rejected(self, tol):
+        # eps = min(tol/100, 1e-10) is 0, -0.01 and nan
         with pytest.raises(InvalidParams, match="eps must be in"):
-            verify(IdentityId.Main, _POINTS[IdentityId.Main], eps=eps)
+            verify(IdentityId.Main, _POINTS[IdentityId.Main], tol=tol)
 
     def test_non_integral_m_and_l_rejected(self):
         # int() used to truncate them: m = 1.5 ran as m = 1, l = 2.7 as 2.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qsinc import (
     IndeterminateRatio,
     InvalidParams,
+    NoConvergence,
     PoleAtNonpositiveInteger,
     QParams,
     Side,
@@ -270,6 +271,12 @@ class TestQBinomial:
     def test_coincident_poles_raise(self):
         with pytest.raises(IndeterminateRatio):
             qbinomial(-2.0, -1.0, 0.5)
+
+    @pytest.mark.parametrize("q", [0.997, 0.999])
+    def test_underflowing_normalizer_is_no_convergence(self, q):
+        # (q; q)_inf underflows to 0: a ZeroDivisionError escaped.
+        with pytest.raises(NoConvergence, match="underflows to 0"):
+            qbinomial(1.5, 0.25, q)
 
 
 class TestThetaProduct:
