@@ -7,8 +7,8 @@ the q modules.  Both sides run on one engine, _bilateral: the sum over the
 integers, and the integral as a trapezoid sum on lattices off them.  Each is
 one window |n| <= N, evaluated by one binomial_profile call, plus a
 closed-form asymptotic tail past it (_tails).  binomial_real is the profile
-at one argument; _gamma_pole is the one pole rule, exact, of the profile,
-binomial_real and gamma_classical.
+at one argument; qcore._gamma_pole is the one pole rule, exact, of the
+profile, binomial_real and gamma_classical, as of qgamma at real x.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     QuadratureFailure,
     SlowConvergence,
 )
-from .qcore import SERIES_MAX_TERMS, Side, _check_eps
+from .qcore import SERIES_MAX_TERMS, Side, _check_eps, _gamma_pole
 from .util import fsum_complex
 
 _LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
@@ -110,11 +110,6 @@ class OslerParams:
             raise InvalidParams(f"need 0 < alpha <= 1, got {self.alpha}")
         if abs(self.theta) >= math.pi:
             raise InvalidParams(f"need |theta| < pi, got {self.theta}")
-
-
-def _gamma_pole(x: float) -> bool:
-    """Whether Gamma has a pole at x: x <= 0 and integral, exactly."""
-    return x <= 0.0 and x == math.floor(x)
 
 
 def gamma_classical(x: float) -> float:

@@ -190,13 +190,16 @@ def verify(ident: IdentityId, params: Mapping[str, Any],
     """Evaluate both sides of one identity and report the comparison.
 
     Every sum and integral is computed to the one target precision
-    eps = min(tol/100, 1e-10); an eps outside (0, 1) is InvalidParams.
+    eps = min(tol/100, 1e-10); a tol that is not positive and finite is
+    InvalidParams, before either side runs, as for the CLI's --tol.
     InvalidParams (violated hypotheses) propagates to the caller; numerical
     failures (no convergence, quadrature failure) yield an inconclusive
     report with passed=False and the failure reason in the diagnostics.
     """
     if tol is None:
         tol = DEFAULT_TOL[ident]
+    if not 0.0 < tol < math.inf:
+        raise InvalidParams(f"tol must be positive and finite, got {tol}")
     eps = min(tol / 100.0, 1e-10)
     start = time.perf_counter()
     try:

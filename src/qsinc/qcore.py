@@ -233,25 +233,37 @@ def qpoch_inf_vec(a: np.ndarray, q: complex) -> np.ndarray:
     All elements share the factor count _tail_index(max |a_i|, PRODUCT_EPS):
     the tail bound grows with |a|, so that count certifies every element.
     Non-finite arguments do not enter the count; at least one factor is
-    taken, so their products are non-finite.  The result is float64 when q
-    and every argument are real, else complex.  The k-factor-by-argument
-    matrix is formed in place in column blocks of at most max(_BLOCK, k)
-    elements: one column when k > _BLOCK, as near |q| = 1.
+    taken, so their products are non-finite.  The result is an array of a's
+    shape, float64 when q and every argument are real, else complex.  A
+    k-factor-by-argument matrix of at most max(_BLOCK, k) elements, as in
+    every small call, is formed once and reduced; a larger one in place in
+    column blocks of that size: one column when k > _BLOCK, as near
+    |q| = 1.  Both multiply each column's factors in order, bit for bit.
     """
     aq = abs(q)
     if aq >= 1.0:
         raise InvalidBase(f"|q| must be < 1, got {aq}")
     a, q = np.asarray(a), complex(q)
-    real = q.imag == 0.0 and not np.imag(a).any()
-    a, q = (a.real.astype(float), q.real) if real else (a.astype(complex), q)
-    amax = float(np.abs(a[np.isfinite(a)]).max(initial=0.0))
-    k = max(1, _tail_index(amax, aq, PRODUCT_EPS))
+    if q.imag == 0.0 and not (a.dtype.kind == "c"
+                              and np.count_nonzero(a.imag)):
+        a, q = a.real.astype(float, copy=False), q.real
+    else:
+        a = a.astype(complex, copy=False)
+    amax = np.maximum.reduce(np.abs(a), axis=None, initial=0.0)
+    if not math.isfinite(amax):
+        amax = np.abs(a[np.isfinite(a)]).max(initial=0.0)
+    k = max(1, _tail_index(float(amax), aq, PRODUCT_EPS))
     if k > PRODUCT_MAX_FACTORS:
         raise NoConvergence(
             f"(a;q)_inf needs {k} factors, budget is {PRODUCT_MAX_FACTORS}")
     powers = np.power(q, np.arange(k))
+    cols = max(1, _BLOCK // k)
+    if a.size <= cols:
+        m = np.multiply.outer(powers, a)
+        return np.asarray(
+            np.multiply.reduce(np.subtract(1.0, m, out=m), axis=0))
     out = np.empty(a.shape, a.dtype)
-    flat, res, cols = a.reshape(-1), out.reshape(-1), max(1, _BLOCK // k)
+    flat, res = a.reshape(-1), out.reshape(-1)
     for lo in range(0, flat.size, cols):
         m = np.multiply.outer(powers, flat[lo:lo + cols])
         np.prod(np.subtract(1.0, m, out=m), axis=0, out=res[lo:lo + cols])
@@ -314,13 +326,25 @@ def _cpow(base: complex, expo: complex) -> complex:
     return _principal_power(base, expo)
 
 
+def _gamma_pole(x: float) -> bool:
+    """Whether Gamma (and Gamma_q) has a pole at x: x <= 0 and integral,
+    exactly."""
+    return x <= 0.0 and x == math.floor(x)
+
+
 def qgamma(x: complex, q: complex) -> complex:
     """q-analog of the Gamma function, to double precision.
 
     Gamma_q(x) = (q;q)_inf / (q^x;q)_inf * (1-q)^(1-x), principal branch.
-    The product ratio is accumulated factor by factor: both products underflow
-    to zero for q near 1, but their factor ratios stay of order one.  A value
-    that is not finite is NoConvergence.
+    The product ratio is accumulated factor by factor, each factor
+    (1 - q^(k+1)) / (1 - q^(x+k)) taken as expm1((k+1) Log q) /
+    expm1((x+k) Log q): both products underflow to zero for q near 1, but
+    their factor ratios stay of order one, and expm1 keeps the digits that
+    1 - q^(x+k) loses near a pole.  For real x the poles are exactly
+    x = 0, -1, -2, ... (_gamma_pole), since |q^(x+k)| = |q|^(x+k) is 1 only
+    at x + k = 0; for complex x a pole is a vanishing factor of
+    (q^x;q)_inf (_has_zero_factor).  A value that is not finite is
+    NoConvergence.
     """
     aq = abs(q)
     if not 0.0 < aq < 1.0:
@@ -333,13 +357,14 @@ def qgamma(x: complex, q: complex) -> complex:
         raise NoConvergence(
             f"Gamma_q ratio needs {n} factors, budget is {PRODUCT_MAX_FACTORS}"
         )
-    if _has_zero_factor(qx, q):
+    xc = complex(x)
+    if _gamma_pole(xc.real) if xc.imag == 0.0 else _has_zero_factor(qx, q):
         raise PoleAtNonpositiveInteger(f"Gamma_q pole at x={x}")
-    powers = np.power(complex(q), np.arange(n))
+    lnq, k = cmath.log(complex(q)), np.arange(n)
     with np.errstate(all="ignore"):  # a ratio that is not finite is typed
-        ratio = complex(np.prod((1.0 - complex(q) * powers)
-                                / (1.0 - qx * powers)))
-    value = ratio * _principal_power(1.0 - q, 1.0 - complex(x))
+        ratio = complex(np.prod(np.expm1((k + 1) * lnq)
+                                / np.expm1((xc + k) * lnq)))
+    value = ratio * _principal_power(1.0 - q, 1.0 - xc)
     if not cmath.isfinite(value):
         raise NoConvergence(f"Gamma_q({x}) is {value:.3g} at q={q}")
     return value

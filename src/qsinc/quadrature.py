@@ -72,11 +72,12 @@ def _decay_radius(decay: tuple[float, float], eps: float) -> float:
 
 def _sample(f, x: np.ndarray, fail=QuadratureFailure) -> np.ndarray:
     """f at the nodes x, as complex; a non-finite value raises fail, at the
-    node nearest 0 (for the series, whose nodes are n, a term overflow)."""
+    node nearest 0 (for the series, whose nodes are n, a term overflow).
+    The nodes are searched only when a value is not finite."""
     with np.errstate(all="ignore"):  # non-finite values are typed below
         v = np.asarray(f(x), dtype=complex)
-    bad = x[~np.isfinite(v)]
-    if bad.size:
+    if not np.isfinite(v).all():
+        bad = x[~np.isfinite(v)]
         at = bad[np.argmin(np.abs(bad))]
         raise fail(f"term overflow at |n|={abs(at):.0f}"
                    if fail is NoConvergence else
@@ -216,7 +217,11 @@ def _integrand(factors, q: complex, z: complex, const: complex = 1.0,
     product call (0 or not finite is NoConvergence), and theta(0) = 1 none.
     About the integer c nearest the weight's peak, with z q^c for z, the
     weight is e^(mu c) (times theta(c) for theta) times one exponent; where
-    it underflows to 0 the term is 0 and its products are not evaluated."""
+    it underflows to 0 the term is 0 and its products are not evaluated.
+    When no weight underflows, as on the usual window, every node is live:
+    the terms are computed on x itself, 1/den by repeating den's classes
+    (np.resize), with no mask and no scatter; a live node gets the same
+    bits on either path."""
     lnq, lnz = cmath.log(complex(q)), cmath.log(complex(z))
     c = round(0.5 - (lnz.real + mu.real) / lnq.real)
     top = mu * c if inv_den else c * lnz + c * (c - 1) / 2 * lnq + mu * c
@@ -226,10 +231,12 @@ def _integrand(factors, q: complex, z: complex, const: complex = 1.0,
         n = np.floor(x)
         x0, n = x - n, n - c
         w = n * (lnz + mu) + n * (x0 + (n - 1) / 2) * lnq + mu * x0
-        live = np.flatnonzero(np.exp(w.real + top.real))
+        weight = np.exp(w.real + top.real)
+        live = None if weight.all() else np.flatnonzero(weight)
+        xl, wl = (x, w) if live is None else (x[live], w[live])
         v = const * np.exp(top)
         for p, a, b, lam in factors:
-            e = np.exp(x[live] * lam)
+            e = np.exp(xl * lam)
             ab = qpoch_inf_vec(np.concatenate((b * e, a / e)), p)
             v = v * ab[:e.size] * ab[e.size:]
         if inv_den:
@@ -241,9 +248,13 @@ def _integrand(factors, q: complex, z: complex, const: complex = 1.0,
                 k = np.argmin(np.isfinite(den) & (den != 0))
                 raise NoConvergence(f"(-z q^x, -q^(1-x)/z; q)_inf is "
                                     f"{den[k]:.3g} at x={c + x0[k]:g}, z={z}")
-            v = v / den[live % m]
-        out = np.zeros(w.shape, dtype=complex)
-        out[live] = v * np.exp(w[live])
+            v = v / (np.resize(den, x.size) if live is None
+                     else den[live % m])
+        v = v * np.exp(wl)
+        if live is None:
+            return v
+        out = np.zeros(x.shape, dtype=complex)
+        out[live] = v
         return out
 
     return f

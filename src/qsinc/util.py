@@ -9,10 +9,13 @@ import numpy as np
 
 
 def fsum_complex(values) -> complex:
-    """Exact-ish sum of an array of complex values (fsum on each part)."""
+    """Sum of an array of complex values, each part correctly rounded by
+    math.fsum.  When every imaginary part is zero the imaginary sum is
+    +0.0 without a pass: math.fsum of zeros, -0.0 included, is +0.0."""
     vals = np.asarray(values, dtype=complex)
+    im = vals.imag
     return complex(math.fsum(vals.real.tolist()),
-                   math.fsum(vals.imag.tolist()))
+                   math.fsum(im.tolist()) if np.count_nonzero(im) else 0.0)
 
 
 _COMPLEX_RE = re.compile(

@@ -22,6 +22,13 @@ QGAMMA = {
     (0.3, 0.7): 2.700583889959934086262,
 }
 
+# (x, q) -> Gamma_q(x) near its pole at x = -1, as q -> 1: the product
+# ratio (q;q)_inf / (q^x;q)_inf (1-q)^(1-x)
+QGAMMA_NEAR_POLE = {
+    (-0.9999999999, 0.99): -9850416270.270538346362,
+    (-0.9999999999, 0.995): -9925103398.06482595855,
+}
+
 # (a, b, z, q, p) -> bilateral product-series value
 MAIN_SERIES = {
     (0.2, 0.3, 1.0, 0.6, 0.3): 1.269362576916128687573,
@@ -137,11 +144,18 @@ def regenerate(dps: int = 50):
             for n in range(-n_max, n_max + 1)
         )
 
+    def qgamma_product(x, q):
+        return (mp.qp(q, q, maxterms=10 ** 6)
+                / mp.qp(q ** x, q, maxterms=10 ** 6) * (1 - q) ** (1 - x))
+
     out = {}
     for (a, q) in QPOCH_INF:
         out[("qpoch", a, q)] = mp.qp(mp.mpmathify(a), mp.mpmathify(q))
     for (x, q) in QGAMMA:
         out[("qgamma", x, q)] = mp.qgamma(mp.mpmathify(x), mp.mpmathify(q))
+    for (x, q) in QGAMMA_NEAR_POLE:
+        out[("qgamma_near_pole", x, q)] = qgamma_product(
+            mp.mpmathify(x), mp.mpmathify(q))
     for key in MAIN_SERIES:
         out[("main",) + key] = main_series(*map(mp.mpmathify, key))
     for (q, p) in MAIN_EDGE:

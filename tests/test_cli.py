@@ -285,6 +285,19 @@ class TestLimitCommand:
         assert code == 64 and out == ""
         assert "limit supports identity qgamma" in err
 
+    def test_qgamma_ladder_near_a_pole(self, capsys):
+        # x = -1 + 1e-10 is no pole: it exited 3 ("Gamma_q pole") once q
+        # was near 1.  Gamma_q approaches Gamma there with error O(1 - q).
+        code, out, err = run(capsys, "limit", "--identity", "qgamma",
+                             "--x=-0.9999999999")
+        assert code == 0 and err == ""
+        rows = json.loads(out)
+        errors = [r["error"] for r in rows]
+        assert errors == sorted(errors, reverse=True)
+        for r in rows:
+            assert r["rhs"]["re"] == pytest.approx(-9999999173.019146)
+            assert r["error"] < 20.0 * (1.0 - r["parameter"]) * 1e10
+
     def test_inconclusive_ladder_exit_three(self, capsys):
         # Gamma(800) is past the double range: typed, not a row of inf.
         code, out, err = run(capsys, "limit", "--identity", "qgamma",

@@ -198,10 +198,13 @@ class TestVerify:
         assert fine.lhs_diag["terms_used"] > coarse.lhs_diag["terms_used"]
         assert fine.rhs_diag["nodes_used"] > coarse.rhs_diag["nodes_used"]
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_eps_outside_unit_interval_rejected(self, tol):
-        # eps = min(tol/100, 1e-10) is 0, -0.01 and nan
-        with pytest.raises(InvalidParams, match="eps must be in"):
+        # verify checks tol itself, by the CLI's --tol rule: the message
+        # names tol, not eps = min(tol/100, 1e-10), and tol = inf (eps
+        # 1e-10) is rejected too.
+        with pytest.raises(InvalidParams,
+                           match="tol must be positive and finite"):
             verify(IdentityId.Main, _POINTS[IdentityId.Main], tol=tol)
 
     def test_non_integral_m_and_l_rejected(self):

@@ -24,7 +24,7 @@ from qsinc import (
 from qsinc.qcore import _check_eps, _vanishing_factor, qpoch_inf_vec
 
 from conftest import rel_err
-from oracles import QGAMMA, QPOCH_INF
+from oracles import QGAMMA, QGAMMA_NEAR_POLE, QPOCH_INF
 
 
 class TestQpoch:
@@ -163,6 +163,62 @@ class TestQpoch:
         assert (max(map(rel_err, real, ref))
                 <= max(map(rel_err, cplx, ref)))
 
+    @staticmethod
+    def _block_loop(a, q):
+        """The product as a plain column-block loop: the reference the
+        kernel's one-block path must match bit for bit."""
+        import numpy as np
+
+        from qsinc.qcore import _BLOCK, PRODUCT_EPS, _tail_index
+
+        a = np.asarray(a)
+        real = complex(q).imag == 0.0 and not np.imag(a).any()
+        a = a.real.astype(float) if real else a.astype(complex)
+        q = complex(q).real if real else complex(q)
+        amax = float(np.abs(a[np.isfinite(a)]).max(initial=0.0))
+        k = max(1, _tail_index(amax, abs(q), PRODUCT_EPS))
+        powers = np.power(q, np.arange(k))
+        flat, cols = a.reshape(-1), max(1, _BLOCK // k)
+        out = np.empty(flat.size, a.dtype)
+        for lo in range(0, flat.size, cols):
+            m = 1.0 - np.multiply.outer(powers, flat[lo:lo + cols])
+            out[lo:lo + cols] = np.prod(m, axis=0)
+        return out.reshape(a.shape)
+
+    @pytest.mark.parametrize("size, q, scale, one_block", [
+        (1, 0.5, 30.0, True), (8, 0.6 + 0.2j, 30.0, True),
+        (100, 0.7, 30.0, True), (300, 0.7, 30.0, False),
+        (200, 0.95, 30.0, False), (3, 0.9995, 0.3, False)])
+    @pytest.mark.parametrize("phase", [1.0, cmath.exp(0.4j)])
+    def test_matches_a_block_loop_bit_for_bit(self, size, q, scale,
+                                              one_block, phase):
+        import numpy as np
+
+        from qsinc.qcore import _BLOCK, PRODUCT_EPS, _tail_index
+
+        rng = np.random.default_rng(size)
+        args = phase * rng.uniform(-scale, scale, size)
+        args[1:2] = np.inf  # masked out of the factor count
+        amax = np.abs(args[np.isfinite(args)]).max()
+        k = max(1, _tail_index(float(amax), abs(q), PRODUCT_EPS))
+        assert (size <= max(1, _BLOCK // k)) == one_block
+        with np.errstate(invalid="ignore"):
+            vec, ref = qpoch_inf_vec(args, q), self._block_loop(args, q)
+        assert vec.dtype == ref.dtype
+        assert vec.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("dtype, q", [(float, 0.5), (complex, 0.5),
+                                          (float, 0.5j)])
+    def test_keeps_the_shape(self, shape, dtype, q):
+        import numpy as np
+
+        args = np.full(shape, 0.3, dtype=dtype)
+        vec = qpoch_inf_vec(args, q)
+        assert isinstance(vec, np.ndarray) and vec.shape == shape
+        assert vec.dtype == (float if q == 0.5 else complex)
+        assert vec.tobytes() == self._block_loop(args, q).tobytes()
+
     def test_argument_near_the_largest_float(self):
         # eps (1 - |q|) / (2|a|) underflows to 0 here; the factor count must
         # not take its log, and the product overflows instead.
@@ -246,6 +302,23 @@ class TestQGamma:
             qgamma(0.0, 0.5)
         with pytest.raises(PoleAtNonpositiveInteger):
             qgamma(-2.0, 0.5)
+
+    @pytest.mark.parametrize("key", sorted(QGAMMA_NEAR_POLE))
+    def test_near_pole_against_oracle(self, key):
+        # 1 - q^(x+k) cancels near the pole at x = -1: each factor is a
+        # ratio of expm1s.  The plain factors were 5.9e-5 off at q = .99.
+        x, q = key
+        assert rel_err(qgamma(x, q), QGAMMA_NEAR_POLE[key]) < 1e-13
+
+    @pytest.mark.parametrize("q", [0.999, 0.9999])
+    def test_real_pole_rule_is_exact(self, q):
+        # A vanishing-factor tolerance called x = -1 + 1e-10 a pole once
+        # q was near 1; at real x only x = 0, -1, -2, ... is one.
+        assert qgamma(-0.9999999999, q).real < -9e9
+        with pytest.raises(PoleAtNonpositiveInteger):
+            qgamma(-1.0, q)
+        with pytest.raises(PoleAtNonpositiveInteger):
+            qgamma(-1.0 + 0j, q)
 
 
 class TestQBinomial:

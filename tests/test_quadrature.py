@@ -278,6 +278,26 @@ class TestIntegrand:
             want = np.array([ref(t) for t in x])
             assert np.max(np.abs(f(x) - want) / np.abs(want)) < 1e-13
 
+    @pytest.mark.parametrize("nodes_per_unit, offset", [(1, 0.0),
+                                                         (4, 0.5)])
+    def test_underflowed_weights_leave_the_live_values(self, nodes_per_unit,
+                                                       offset):
+        # On |x| <= 80 at q = .6 the weight underflows past |x| ~ 55: the
+        # window is evaluated on its live nodes only, and scattered into
+        # zeros.  Its live nodes alone take the path without a mask; the
+        # values must be the same bits.  The nodes' fractional parts are
+        # exact binary fractions, so both calls take den at the same x0.
+        f = _symmetric_model(_sp(0.2, 0.3, 1.5, 0.6, 0.3))[0]
+        npts = 80 * nodes_per_unit
+        x = (np.arange(-npts, npts + 1) + offset) / nodes_per_unit
+        whole = f(x)
+        live = np.flatnonzero(whole)
+        assert whole[0] == whole[-1] == 0.0
+        assert np.array_equal(live, np.arange(live[0], live[-1] + 1))
+        part = f(x[live])
+        assert part.all()
+        assert part.tobytes() == whole[live].tobytes()
+
 
 class TestBaseIntegral:
     @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.7, 0.9])
