@@ -112,6 +112,8 @@ def fourier_series_side(params: SeriesParams, y: float, eps: float) -> Side:
     inv_sinh = (1.0 / cmath.sinh(w) if abs(w.real) < 700.0
                 else 2.0 * s * cmath.exp(-s * w))
     eiy = cmath.exp(1j * y)
+    if _vanishing_factor(-eiy, q) is not None:  # 1 + e^(iy) = 0
+        raise KernelPole(f"(-e^(iy); q)_inf vanishes at y = {y}")
     pref = (2.0 * cmath.pi * 1j / lq) * inv_sinh
     pref *= (qpoch_inf(-q, q) ** 2 * qpoch_inf_large(eiy, q)
              * qpoch_inf_large(complex(q) / eiy, q))
@@ -153,6 +155,8 @@ def appell_lerch_rhs(a: complex, q: complex, eps: float) -> Side:
     q = complex(q)
     q2 = q * q
     # The theta sum in base q^2 at z = -q^2/a: terms (-1/a)^n q^(n^2+n).
+    if not cmath.isfinite(q2 / a):
+        raise NoConvergence(f"theta-sum argument -q^2/a overflows at a={a}")
     bare, decay = _product_model((), q2, -q2 / a)
     # A (near-)pole of 1 - a q^(2n+1) = 1 - (a q) (q^2)^n on the lattice.
     n_star = _vanishing_factor(a * q, q2)

@@ -300,16 +300,17 @@ def _bilateral(a: float, l: int, alpha: float, theta: float, u0, eps: float):
         raise InvalidParams(f"terms decay like |n|^-{t}: need (a+1) l > 1")
     u0 = np.asarray(u0, dtype=float)
     phi, arg = _phases(l, alpha, theta)
-    x_min = max(48.0, 12.0 * (a + 1.0), l * (a + 1.0) ** 2) / alpha
+    x_min = max(48.0, 12.0 * (a + 1.0), l * ((a + 1.0) * (a + 1.0))) / alpha
     d = np.abs(arg)
     d = d[d > _UNIT_ARG]
     if d.size:
         x_min = max(x_min, 4.0 * (t + _K) / float(d.min()))
     # X = N + 1 + beta/alpha at each end: beta = u0 - a right, -u0 left.
+    # N stays a float until the budget check: it may be infinite.
     beta = min(float(np.min(u0)) - a, -float(np.max(u0)))
-    n_hi = max(32.0, math.ceil(x_min - 1.0 - beta / alpha))
+    n_hi = max(32.0, float(np.ceil(x_min - 1.0 - beta / alpha)))
     terms = u0.size * (2.0 * n_hi + 1.0)
-    if terms > SERIES_MAX_TERMS:
+    if not terms <= SERIES_MAX_TERMS:
         raise SlowConvergence(
             f"window |n| <= {n_hi:.4g} needs {terms:.4g} terms, above "
             f"SERIES_MAX_TERMS={SERIES_MAX_TERMS}")
@@ -318,9 +319,7 @@ def _bilateral(a: float, l: int, alpha: float, theta: float, u0, eps: float):
     f = (binomial_profile(a, u) ** l).reshape(u0.size, -1)
     if theta:
         f = f * np.exp(1j * theta * u.reshape(f.shape))
-        sums = np.array([fsum_complex(row) for row in f])
-    else:
-        sums = np.array([math.fsum(row) for row in f.tolist()], dtype=complex)
+    sums = np.array([fsum_complex(row) for row in f])
     tails, est = _tails(a, l, alpha, theta, n_hi, u0, phi, arg)
     sums += tails
     est = float(est.max())

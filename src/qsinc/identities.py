@@ -4,7 +4,7 @@ Each identity pairs two independently computed sides (series vs series, or
 series vs quadrature), each a Side, applies the combined absolute/relative
 tolerance rule and produces an IdentityReport.  The combined rule matters
 because several identities have sides that legitimately approach zero, where
-relative error is meaningless.
+relative error is meaningless.  Every arm reads its parameters by _param.
 """
 
 from __future__ import annotations
@@ -128,61 +128,51 @@ def make_report(ident: IdentityId, params: Mapping[str, Any], lhs: complex,
                           rhs_diag=rhs_diag or {}, elapsed=elapsed)
 
 
-def _required(params: Mapping[str, Any], *names: str) -> tuple[Any, ...]:
-    """The values of names in params; a missing one is InvalidParams."""
-    missing = [name for name in names if name not in params]
-    if missing:
-        raise InvalidParams(f"missing parameter {', '.join(missing)}")
-    return tuple(params[name] for name in names)
-
-
-def _real(params: Mapping[str, Any], name: str, default: float | None = None,
-          lo: float = -math.inf, hi: float = math.inf) -> float:
-    """params[name] as a float in the open interval (lo, hi): a missing,
-    complex, nan or out-of-range value is rejected, not cast."""
+def _param(params: Mapping[str, Any], name: str, default: Any = None,
+           kind: type = complex, lo: float = -math.inf,
+           hi: float = math.inf) -> Any:
+    """params[name], or default, as a finite number of kind: complex, as
+    given, not cast; float, in the open interval (lo, hi); or int.  Any
+    other value, a missing one included, is InvalidParams."""
     value = params.get(name, default)
     if value is None:
-        _required(params, name)
-    if not (isinstance(value, numbers.Real) and lo < value < hi):
-        raise InvalidParams(f"need real {lo:g} < {name} < {hi:g}, "
-                            f"got {value}")
-    return float(value)
+        raise InvalidParams(f"missing parameter {name}")
+    # The builtin types first: an ABC check costs more than all the rest.
+    real = isinstance(value, (int, float)) or isinstance(value, numbers.Real)
+    try:
+        finite = ((real or isinstance(value, (complex, numbers.Complex)))
+                  and cmath.isfinite(value))
+    except OverflowError:  # an int past the float range
+        finite = False
+    if kind is complex and finite:
+        return value
+    if kind is float and real and finite and lo < value < hi:
+        return float(value)
+    if kind is int and real and finite and float(value).is_integer():
+        return int(value)
+    raise InvalidParams(
+        f"need real {lo:g} < {name} < {hi:g}, got {value}" if kind is float
+        else f"{name} must be an integer, got {value}" if kind is int
+        else f"{name} must be a finite number, got {value}")
 
 
-def _allow_extreme(params: Mapping[str, Any]) -> bool:
-    return bool(params.get("allow_extreme", False))
-
-
-def _qparams(params: Mapping[str, Any]) -> QParams:
-    p, q = _required(params, "p", "q")
-    return QParams(p=p, q=q, allow_extreme=_allow_extreme(params))
-
-
-def _binomial_qparams(params: Mapping[str, Any]) -> QParams:
-    """The base pair (p, q = p^alpha) of the q-binomial arms."""
-    alpha, p = (_real(params, k, lo=0.0, hi=1.0) for k in ("alpha", "p"))
-    return QParams(p=p, q=p ** alpha, allow_extreme=_allow_extreme(params))
+def _qparams(params: Mapping[str, Any], binomial: bool = False) -> QParams:
+    """The base pair (p, q); for the q-binomial arms (binomial), the pair
+    (p, q = p^alpha) of reals 0 < alpha, p < 1."""
+    if binomial:
+        alpha, p = (_param(params, k, kind=float, lo=0.0, hi=1.0)
+                    for k in ("alpha", "p"))
+        q = p ** alpha
+    else:
+        p, q = _param(params, "p"), _param(params, "q")
+    return QParams(p=p, q=q,
+                   allow_extreme=bool(params.get("allow_extreme", False)))
 
 
 def _series_params(params: Mapping[str, Any],
                    z_default: complex | None = None) -> SeriesParams:
-    z = params.get("z", z_default)
-    if z is None:
-        raise InvalidParams("missing parameter z")
-    return SeriesParams(qp=_qparams(params), a=params.get("a", 0.0),
-                        b=params.get("b", 0.0), z=z)
-
-
-def _integer(params: Mapping[str, Any], name: str,
-             default: int | None = None) -> int:
-    """params[name] as an int: a value that is not integral (or is missing)
-    is rejected, not truncated."""
-    value = params.get(name, default)
-    if value is None:
-        _required(params, name)
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise InvalidParams(f"{name} must be an integer, got {value}")
-    return int(value)
+    return SeriesParams(z=_param(params, "z", z_default), qp=_qparams(params),
+                        a=_param(params, "a", 0.0), b=_param(params, "b", 0.0))
 
 
 def verify(ident: IdentityId, params: Mapping[str, Any],
@@ -191,7 +181,8 @@ def verify(ident: IdentityId, params: Mapping[str, Any],
 
     Every sum and integral is computed to the one target precision
     eps = min(tol/100, 1e-10); a tol that is not positive and finite is
-    InvalidParams, before either side runs, as for the CLI's --tol.
+    InvalidParams, before either side runs, as for the CLI's --tol, and so
+    is a parameter that is not a finite number of its kind (_param).
     InvalidParams (violated hypotheses) propagates to the caller; numerical
     failures (no convergence, quadrature failure) yield an inconclusive
     report with passed=False and the failure reason in the diagnostics.
@@ -239,8 +230,8 @@ def _arm_symmetric(params, eps):
 def _arm_qbinomial(params, eps):
     # [a; b + alpha x]_p over the theta denominator in base q = p^alpha:
     # the multibasic sum and integral with the one factor (p, a, b).
-    a, b, z = _required(params, "a", "b", "z")
-    qp = _binomial_qparams(params)
+    a, b, z = (_param(params, k) for k in ("a", "b", "z"))
+    qp = _qparams(params, binomial=True)
     mp = MultibasicParams(factors=((qp.p, a, b),), q=qp.q, z=z)
     return (bilateral.multibasic_series(mp, eps),
             quadrature.multibasic_integral(mp, eps))
@@ -249,9 +240,10 @@ def _arm_qbinomial(params, eps):
 @_arm(IdentityId.Osler, _CLASSICAL_TOL,
       "generalized binomial sum on the unit circle vs closed form")
 def _arm_osler(params, eps):
-    op = OslerParams(a=_real(params, "a"), b=_real(params, "b", 0.0),
-                     alpha=_real(params, "alpha"),
-                     theta=_real(params, "theta", 0.0))
+    op = OslerParams(a=_param(params, "a", kind=float),
+                     b=_param(params, "b", 0.0, float),
+                     alpha=_param(params, "alpha", kind=float),
+                     theta=_param(params, "theta", 0.0, float))
     v = cmath.exp(1j * op.theta)
     return (classical.osler_sum(op, eps),
             Side((1.0 / op.alpha) * (1.0 + v) ** op.a, "closed-form"))
@@ -260,8 +252,9 @@ def _arm_osler(params, eps):
 @_arm(IdentityId.ClassicalSumInt, _CLASSICAL_TOL,
       "classical binomial-power sum equals integral")
 def _arm_classical_sum_int(params, eps):
-    a, alpha = _real(params, "a", lo=0.0), _real(params, "alpha")
-    l = _integer(params, "l")
+    a = _param(params, "a", kind=float, lo=0.0)
+    alpha = _param(params, "alpha", kind=float)
+    l = _param(params, "l", kind=int)
     if l < 1:
         raise InvalidParams(f"need l >= 1, got {l}")
     if not 0.0 < alpha <= 2.0 / l:
@@ -273,7 +266,7 @@ def _arm_classical_sum_int(params, eps):
 @_arm(IdentityId.AppellLerch, _SERIES_TOL,
       "p=q^2 specialization equals the Appell-Lerch form")
 def _arm_appell_lerch(params, eps):
-    a, q = map(complex, _required(params, "a", "q"))
+    a, q = (complex(_param(params, k)) for k in ("a", "q"))
     qp = QParams(p=q * q, q=q)
     rhs = bilateral.appell_lerch_rhs(a, q, eps)  # rejects a = 0 before q^2/a
     sp = SeriesParams(qp=qp, a=q * q / a, b=a * q * q, z=1.0)
@@ -284,7 +277,7 @@ def _arm_appell_lerch(params, eps):
       "symmetric series depends only on b/z and a*z")
 def _arm_invariance(params, eps):
     sp = _series_params(params)
-    c = complex(params.get("c", 1.3 + 0.4j))
+    c = complex(_param(params, "c", 1.3 + 0.4j))
     if c == 0:
         raise InvalidParams("move factor c must be nonzero")
     moved = replace(sp, a=sp.a / c, b=sp.b * c, z=sp.z * c)
@@ -295,7 +288,7 @@ def _arm_invariance(params, eps):
 @_arm(IdentityId.Fourier, _CLASSICAL_TOL,
       "Fourier transform equals the sinh-kernel series")
 def _arm_fourier(params, eps):
-    y = _real(params, "y")
+    y = _param(params, "y", kind=float)
     sp = _series_params(params, z_default=1.0)
     return (quadrature.fourier_integral(sp, y, eps),
             bilateral.fourier_series_side(sp, y, eps))
@@ -304,7 +297,7 @@ def _arm_fourier(params, eps):
 @_arm(IdentityId.WeightedM, _QUAD_TOL,
       "q^(mx)-weighted integral equals the weighted sum")
 def _arm_weighted(params, eps):
-    m = _integer(params, "m")
+    m = _param(params, "m", kind=int)
     sp = _series_params(params, z_default=1.0)
     return (bilateral.weighted_series(sp, m, eps),
             quadrature.weighted_integral(sp, m, eps))
@@ -313,7 +306,8 @@ def _arm_weighted(params, eps):
 @_arm(IdentityId.Bailey, _SERIES_TOL,
       "four-product bilateral transformation, left vs right")
 def _arm_bailey(params, eps):
-    a1, a2, b1, b2, z = _required(params, "a1", "a2", "b1", "b2", "z")
+    a1, a2, b1, b2, z = (_param(params, k)
+                         for k in ("a1", "a2", "b1", "b2", "z"))
     bp = BaileyParams(qp=_qparams(params), a1=a1, a2=a2, b1=b1, b2=b2, z=z)
     return (bilateral.bailey_series(bp, "left", eps),
             bilateral.bailey_series(bp, "right", eps))
@@ -322,14 +316,14 @@ def _arm_bailey(params, eps):
 @_arm(IdentityId.BaileyBinomial, _SERIES_TOL,
       "q-binomial form of the four-product transformation")
 def _arm_bailey_binomial(params, eps):
-    qp = _binomial_qparams(params)
-    a1, b1, a2, b2 = _required(params, "a1", "b1", "a2", "b2")
+    qp = _qparams(params, binomial=True)
+    a1, b1, a2, b2 = (_param(params, k) for k in ("a1", "b1", "a2", "b2"))
     # sum_n [a1; b1+alpha n]_p [a2; b2+alpha n]_p p^(alpha n(n-1) + theta n)
     # is the four-product sum at the mapped factors and z = p^theta.
     b1p, a1p, c1 = _binomial_factor(qp.p, a1, b1)
     b2p, a2p, c2 = _binomial_factor(qp.p, a2, b2)
     bp = BaileyParams(qp=qp, a1=a1p, a2=a2p, b1=b1p, b2=b2p,
-                      z=_cpow(qp.p, params.get("theta", 0.0)))
+                      z=_cpow(qp.p, _param(params, "theta", 0.0)))
     return (bilateral.bailey_series(bp, "left", eps).scaled(c1 * c2),
             bilateral.bailey_series(bp, "right", eps).scaled(c1 * c2))
 
@@ -342,12 +336,12 @@ def _multibasic_params(params: Mapping[str, Any]) -> MultibasicParams:
         names = (f"p{j}", f"a{j}", f"b{j}")
         if not any(name in params for name in names):
             break
-        groups.append(_required(params, *names))
-    factors, z = tuple(groups), params.get("z", 1.0)
+        groups.append(tuple(_param(params, name) for name in names))
+    factors, z = tuple(groups), _param(params, "z", 1.0)
     if "q" in params:
-        return MultibasicParams(factors=factors, q=params["q"], z=z)
+        return MultibasicParams(factors=factors, q=_param(params, "q"), z=z)
     return MultibasicParams.from_alpha_sum(
-        factors, _real(params, "alpha_sum", lo=0.0, hi=1.0), z)
+        factors, _param(params, "alpha_sum", kind=float, lo=0.0, hi=1.0), z)
 
 
 @_arm(IdentityId.Multibasic, _CLASSICAL_TOL,
@@ -381,7 +375,7 @@ def _arm_functional_eq2(params, eps):
 @_arm(IdentityId.BaseIntegral, 1e-10,
       "base dt/t integral equals (q;q)_inf ln(1/q)")
 def _arm_base_integral(params, eps):
-    (q,) = _required(params, "q")
+    q = _param(params, "q")
     lhs = quadrature.base_integral(q, eps)  # checks q first
     return lhs, Side(qpoch_inf(q, q) * math.log(1.0 / abs(q)), "product")
 
@@ -389,7 +383,7 @@ def _arm_base_integral(params, eps):
 @_arm(IdentityId.TripleProduct, 1e-10,
       "triple product equals the bilateral theta sum")
 def _arm_triple_product(params, eps):
-    z, q = map(complex, _required(params, "z", "q"))
+    z, q = (complex(_param(params, k)) for k in ("z", "q"))
     return (Side(theta_product(z, q), "product"),
             _sum_pairs(*_product_model((), q, z), eps))
 
@@ -397,7 +391,7 @@ def _arm_triple_product(params, eps):
 @_arm(IdentityId.PoissonVanishing, 1e-8,
       "Fourier transform vanishes at y = 2 pi m")
 def _arm_poisson(params, eps):
-    m = _integer(params, "m", 1)
+    m = _param(params, "m", 1, int)
     if m == 0:
         raise InvalidParams("m must be a nonzero integer")
     sp = _series_params(params, z_default=1.0)

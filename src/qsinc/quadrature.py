@@ -361,9 +361,11 @@ def fourier_integral(params: SeriesParams, y: float, eps: float) -> Side:
     """
     if params.z != 1:
         raise InvalidParams("fourier_integral is defined at z = 1")
-    density = int(math.ceil(2 * max(1.0, abs(y) / (2.0 * math.pi))))
+    density = 2.0 * max(1.0, abs(y) / (2.0 * math.pi))
+    if density == math.inf:  # a finite one past MAX_NODES fails level 0
+        raise QuadratureFailure(f"y={y} needs infinitely many nodes")
     return integrate_gaussian_decay(*_symmetric_model(params, 1j * y), eps,
-                                    density)
+                                    math.ceil(density))
 
 
 def weighted_integral(params: SeriesParams, m: int, eps: float) -> Side:

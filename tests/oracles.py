@@ -8,6 +8,8 @@ import-accuracy to guard against drift.
 
 from __future__ import annotations
 
+from functools import partial
+
 # (a, q) -> (a; q)_inf
 QPOCH_INF = {
     (0.3, 0.5): 0.5101178266339875718323,
@@ -91,8 +93,9 @@ MULTIBASIC_ALPHA_SUM = {
 }
 
 
-def regenerate(dps: int = 50):
-    """Recompute every frozen constant with mpmath; returns a dict."""
+def regenerate(dps: int = 50, keys=None):
+    """Recompute the frozen constants with mpmath, every one or those whose
+    keys are in keys; returns a dict of them by key."""
     import mpmath as mp
 
     mp.mp.dps = dps
@@ -148,41 +151,43 @@ def regenerate(dps: int = 50):
         return (mp.qp(q, q, maxterms=10 ** 6)
                 / mp.qp(q ** x, q, maxterms=10 ** 6) * (1 - q) ** (1 - x))
 
-    out = {}
+    num = mp.mpmathify
+    jobs = {}
     for (a, q) in QPOCH_INF:
-        out[("qpoch", a, q)] = mp.qp(mp.mpmathify(a), mp.mpmathify(q))
+        jobs[("qpoch", a, q)] = partial(mp.qp, num(a), num(q))
     for (x, q) in QGAMMA:
-        out[("qgamma", x, q)] = mp.qgamma(mp.mpmathify(x), mp.mpmathify(q))
+        jobs[("qgamma", x, q)] = partial(mp.qgamma, num(x), num(q))
     for (x, q) in QGAMMA_NEAR_POLE:
-        out[("qgamma_near_pole", x, q)] = qgamma_product(
-            mp.mpmathify(x), mp.mpmathify(q))
+        jobs[("qgamma_near_pole", x, q)] = partial(qgamma_product, num(x),
+                                                   num(q))
     for key in MAIN_SERIES:
-        out[("main",) + key] = main_series(*map(mp.mpmathify, key))
+        jobs[("main",) + key] = partial(main_series, *map(num, key))
     for (q, p) in MAIN_EDGE:
-        out[("main_edge", q, p)] = main_series(
-            *map(mp.mpmathify, (0.2, 0.3, 1.0, q, p)))
+        jobs[("main_edge", q, p)] = partial(
+            main_series, *map(num, (0.2, 0.3, 1.0, q, p)))
     for key in SYMMETRIC_SERIES:
-        out[("sym",) + key] = sym_series(*map(mp.mpmathify, key))
+        jobs[("sym",) + key] = partial(sym_series, *map(num, key))
     for (a, b, q, p, m) in WEIGHTED_SERIES:
-        out[("weighted", a, b, q, p, m)] = weighted(
-            mp.mpmathify(a), mp.mpmathify(b), mp.mpmathify(q),
-            mp.mpmathify(p), m)
+        jobs[("weighted", a, b, q, p, m)] = partial(
+            weighted, num(a), num(b), num(q), num(p), m)
     for key in BAILEY_LEFT:
-        out[("bailey",) + key] = bailey_left(*map(mp.mpmathify, key))
+        jobs[("bailey",) + key] = partial(bailey_left, *map(num, key))
     for (a, q) in APPELL_LERCH:
-        aa, qq = mp.mpmathify(a), mp.mpmathify(q)
+        aa, qq = num(a), num(q)
         pp = qq * qq
-        out[("al", a, q)] = main_series(pp / aa, aa * pp, mp.mpf(1), qq, pp)
+        jobs[("al", a, q)] = partial(main_series, pp / aa, aa * pp,
+                                     mp.mpf(1), qq, pp)
     two = ((mp.mpf("0.2"), 2, 1), (mp.mpf("0.3"), 3, 1))
     q_mb = mb_q(two, mp.mpf("0.8"))
-    out[("mb_q",)] = q_mb
-    out[("mb_value",)] = mb_series(two, q_mb, mp.mpf(1))
+    jobs[("mb_q",)] = lambda: q_mb
+    jobs[("mb_value",)] = partial(mb_series, two, q_mb, mp.mpf(1))
     for key in MULTIBASIC_SERIES:
-        factors = [tuple(map(mp.mpmathify, f)) for f in key]
-        out[("mb",) + key] = mb_series(
-            factors, mb_q(factors, mp.mpf("0.8")), mp.mpf(1))
+        factors = [tuple(map(num, f)) for f in key]
+        jobs[("mb",) + key] = partial(
+            mb_series, factors, mb_q(factors, mp.mpf("0.8")), mp.mpf(1))
     for key, alpha_sum in MULTIBASIC_ALPHA_SUM:
-        factors = [tuple(map(mp.mpmathify, f)) for f in key]
-        out[("mb_alpha_sum", key, alpha_sum)] = mb_series(
-            factors, mb_q(factors, mp.mpmathify(alpha_sum)), mp.mpf(1))
-    return out
+        factors = [tuple(map(num, f)) for f in key]
+        jobs[("mb_alpha_sum", key, alpha_sum)] = partial(
+            mb_series, factors, mb_q(factors, num(alpha_sum)), mp.mpf(1))
+    return {key: job() for key, job in jobs.items()
+            if keys is None or key in keys}

@@ -53,15 +53,28 @@ class TestVerifyCommand:
          "--a2", "3", "--b2", "1", "--alpha-sum", "0.5+0.5i"),
         ("main", "--a", "-.38671", "--b", ".92977", "--z=-.13427-2.30302i",
          "--q", ".45461", "--p", ".42961"),
+        # 1e999 parses to inf.
+        ("symmetric", "--a", ".1", "--b", ".2", "--z", "1e999", "--q", ".5",
+         "--p", ".2"),
+        ("invariance", "--a", ".2", "--b", ".3", "--z", "1", "--q", ".6",
+         "--p", ".3", "--c", "1e999"),
+        ("appell-lerch", "--a", "1e999", "--q", ".5"),
+        ("multibasic", "--p1", ".2", "--a1", "1e999", "--b1", "1",
+         "--alpha-sum", ".5"),
+        ("osler", "--a", "2", "--alpha", ".5", "--theta", "1e999"),
     ], ids=["missing-y", "complex-p", "osler-complex-b", "osler-complex-a",
             "osler-complex-alpha", "osler-complex-theta",
             "classical-complex-a", "classical-complex-alpha",
             "fourier-complex-y", "base-q-zero", "appell-lerch-a-zero",
-            "multibasic-complex-alpha-sum", "main-re-z-negative"])
+            "multibasic-complex-alpha-sum", "main-re-z-negative",
+            "symmetric-inf-z", "invariance-inf-c", "appell-lerch-inf-a",
+            "multibasic-inf-a1", "osler-inf-theta"])
     def test_bad_parameter_exit_two(self, capsys, argv):
         # These escaped as KeyError, TypeError, OverflowError or
         # ZeroDivisionError tracebacks (exit 1); osler-complex-b dropped the
-        # imaginary part of b and passed (exit 0).
+        # imaginary part of b and passed (exit 0), as multibasic-inf-a1 did
+        # with "a1": Infinity in its report; appell-lerch-inf-a was a usage
+        # error (exit 64).
         code, out, err = run(capsys, "verify", "--identity", *argv)
         assert code == 2
         assert out == ""
@@ -132,10 +145,13 @@ class TestVerifyCommand:
          "--z", "1"),
         ("poisson", "--a", ".1", "--b", ".2", "--q", ".5", "--p", ".2",
          "--m", "1e30"),
-    ], ids=["qbinomial-gamma-pole", "poisson-huge-m"])
+        ("fourier", "--a", ".1", "--b", ".2", "--q", ".5", "--p", ".2",
+         "--y", "3.141592653589793"),
+    ], ids=["qbinomial-gamma-pole", "poisson-huge-m", "fourier-kernel-pole"])
     def test_typed_failure_exit_three(self, capsys, argv):
         # ZeroDivisionError (exit 1) and numpy's ValueError for an
-        # oversized node array (usage error, exit 64) before.
+        # oversized node array (usage error, exit 64) before; the Fourier
+        # kernel pole at y = pi was a FAIL by value (exit 1).
         code, out, _ = run(capsys, "verify", "--identity", *argv)
         assert code == 3
         assert json.loads(out)["diagnostics"]["status"] == "inconclusive"

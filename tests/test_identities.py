@@ -17,7 +17,7 @@ from qsinc import (
     sweep_points,
     verify,
 )
-from qsinc.identities import _IDENTITIES, DEFAULT_TOL, expand_grid
+from qsinc.identities import _IDENTITIES, DEFAULT_TOL, _param, expand_grid
 from qsinc.qcore import SIDE_METHODS, Side
 
 from conftest import rel_err
@@ -78,6 +78,15 @@ _REQUIRED = {
     IdentityId.TripleProduct: {"z", "q"},
     IdentityId.PoissonVanishing: {"p", "q"},
 }
+
+
+# Values set at every key by test_fuzzed_values_are_invalid_or_verdicts, and
+# the keys with defaults it sets at every point.
+_FUZZ_VALUES = [0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300, 1e308, -1,
+                1, 2, 0.999999, 1 + 1j, -1j, 1e300j, math.pi, -math.pi,
+                2.0 * math.pi, math.nan, math.inf, -math.inf,
+                complex(1.0, math.nan), "x"]
+_FUZZ_KEYS = ("a", "b", "z", "c", "theta", "y")
 
 
 class TestCatalog:
@@ -248,6 +257,86 @@ class TestVerify:
         point[key] = point[key] + 0.1j
         with pytest.raises(InvalidParams, match=f"real 0 < {key} < 1"):
             verify(ident, point)
+
+    def test_fuzzed_values_are_invalid_or_verdicts(self):
+        # Each key of each reference point, and a, b, z, c, theta and y,
+        # at values from the double range's edges, nan, inf, complex ones
+        # and a string: verify may raise InvalidParams alone, and any FAIL
+        # is inconclusive, not a wrong value.  These escaped as
+        # OverflowError, ValueError or TypeError, or passed with
+        # "a1": inf, in 93 (error, identity, key) classes.
+        bad = []
+        for ident, point in _POINTS.items():
+            for key in sorted(point.keys() | set(_FUZZ_KEYS)):
+                for value in _FUZZ_VALUES:
+                    try:
+                        report = verify(ident, dict(point, **{key: value}))
+                    except InvalidParams:
+                        continue
+                    except Exception as exc:
+                        bad.append((ident.value, key, value, repr(exc)))
+                        continue
+                    if (not report.passed
+                            and report.lhs_diag.get("status") is None):
+                        bad.append((ident.value, key, value, "FAIL"))
+        assert bad == []
+
+    @pytest.mark.parametrize("value, kind, match", [
+        (None, complex, "missing parameter v"),
+        ("1", complex, "v must be a finite number"),
+        (math.nan, complex, "finite number"),
+        (complex(1.0, math.inf), complex, "finite number"),
+        (10 ** 400, int, "must be an integer"),
+        (1 + 0j, float, r"need real -inf < v < inf"),
+        (math.inf, float, r"need real -inf < v < inf"),
+        (1.5, int, "must be an integer"),
+        (math.inf, int, "must be an integer"),
+    ])
+    def test_param_reader_rejects(self, value, kind, match):
+        with pytest.raises(InvalidParams, match=match):
+            _param({"v": value}, "v", kind=kind)
+
+    def test_param_reader_returns_the_declared_kind(self):
+        z = 0.5 + 0.25j
+        assert _param({"v": z}, "v") is z  # as given, not cast
+        assert _param({}, "v", 2) == 2
+        assert type(_param({"v": 2}, "v", kind=float)) is float
+        assert type(_param({"v": 2.0}, "v", kind=int)) is int
+        with pytest.raises(InvalidParams, match="need real 0 < v < 1"):
+            _param({"v": 1.0}, "v", kind=float, lo=0.0, hi=1.0)
+
+    @pytest.mark.parametrize("ident, point, error", [
+        # (a + 1)^2 overflowed in the window bound of classical._bilateral
+        (IdentityId.Osler, {"a": 1e300, "alpha": 0.5}, "SlowConvergence"),
+        (IdentityId.ClassicalSumInt, {"a": 1e300, "alpha": 1.0, "l": 2},
+         "SlowConvergence"),
+        # an infinite window bound, rounded to an int
+        (IdentityId.Osler, {"a": 2.0, "alpha": 5e-324}, "SlowConvergence"),
+        (IdentityId.ClassicalSumInt, {"a": 2.0, "alpha": 5e-324, "l": 2},
+         "SlowConvergence"),
+        (IdentityId.Osler, {"a": 2.0, "alpha": 0.5, "b": 1e308},
+         "SlowConvergence"),
+        # y = 2 pi m is infinite: so was the Fourier node density
+        (IdentityId.PoissonVanishing,
+         dict(_POINTS[IdentityId.PoissonVanishing], m=1e308),
+         "QuadratureFailure"),
+        # the theta-sum argument -q^2/a is infinite
+        (IdentityId.AppellLerch, {"a": 5e-324, "q": 0.7}, "NoConvergence"),
+    ], ids=["osler-a", "classical-a", "osler-alpha", "classical-alpha",
+            "osler-b", "poisson-m", "appell-lerch-a"])
+    def test_extreme_finite_value_is_inconclusive(self, ident, point, error):
+        # Each escaped as OverflowError.
+        report = verify(ident, point)
+        assert report.lhs_diag["status"] == "inconclusive"
+        assert report.lhs_diag["reason"].startswith(error)
+
+    def test_fourier_next_to_the_kernel_pole_is_computed(self):
+        # y = pi is a KernelPole (test_validation.py); 1e-12 off, past the
+        # vanishing rule's POLE_TOL, both sides are computed.
+        report = verify(IdentityId.Fourier,
+                        dict(_POINTS[IdentityId.Fourier], y=math.pi + 1e-12))
+        assert report.lhs_diag.get("status") is None
+        assert report.lhs_diag["method"] == "trapezoid"
 
     @pytest.mark.parametrize("ident, params", [
         (IdentityId.QBinomialForm,

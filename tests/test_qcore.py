@@ -371,12 +371,13 @@ def test_oracles_regen_spot_check():
 
     from oracles import MULTIBASIC_SERIES, regenerate
 
-    out = regenerate(dps=30)
-    assert abs(complex(out[("qpoch", 0.3, 0.5)])
-               - QPOCH_INF[(0.3, 0.5)]) < 1e-15
-    assert abs(complex(out[("main", 0.2, 0.3, 1.0, 0.6, 0.3)])
-               - 1.269362576916128687573) < 1e-14
     qsinc_key = ((0.36, 2.0, 1.0), (0.3, 0.0, 0.0))
-    assert abs(complex(out[("mb",) + qsinc_key])
+    keys = [("qpoch", 0.3, 0.5), ("main", 0.2, 0.3, 1.0, 0.6, 0.3),
+            ("mb",) + qsinc_key]
+    out = regenerate(dps=30, keys=keys)
+    assert sorted(out) == sorted(keys)
+    assert abs(complex(out[keys[0]]) - QPOCH_INF[(0.3, 0.5)]) < 1e-15
+    assert abs(complex(out[keys[1]]) - 1.269362576916128687573) < 1e-14
+    assert abs(complex(out[keys[2]])
                - MULTIBASIC_SERIES[qsinc_key]) < 1e-15
     assert mp.mp.dps >= 15

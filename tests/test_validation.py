@@ -1,5 +1,6 @@
 """Parameter checks and factor budgets: each is typed before any work."""
 
+import math
 import time
 
 import numpy as np
@@ -35,6 +36,9 @@ _FACTOR = ((0.5, 2.0, 1.0),)
 @pytest.mark.parametrize("call, error, match", [
     (lambda: fourier_series_side(_Z2, 1.0, 1e-10), InvalidParams, "z = 1"),
     (lambda: fourier_series_side(_Z1, 0.0, 1e-10), KernelPole, "y = 0"),
+    # 1 + e^(iy) = 0: a wrong value before
+    (lambda: fourier_series_side(_Z1, -3.0 * math.pi, 1e-10), KernelPole,
+     "vanishes"),
     (lambda: appell_lerch_rhs(0.5, 1.2, 1e-10), InvalidParams, r"\|q\|"),
     (lambda: weighted_integral(_Z2, 1, 1e-10), InvalidParams, "z = 1"),
     (lambda: verify(IdentityId.Invariance, dict(_POINT, c=0)),
@@ -52,10 +56,10 @@ _FACTOR = ((0.5, 2.0, 1.0),)
     # 5.1e7 and 6.1e6 factors, past PRODUCT_MAX_FACTORS
     (lambda: qpoch_inf(0.5, 1.0 - 1e-6), NoConvergence, "factors"),
     (lambda: qgamma(1.5, 1.0 - 1e-5), NoConvergence, "factors"),
-], ids=["fourier-z", "fourier-y0", "appell-lerch-q", "weighted-z",
-        "invariance-c0", "poisson-m0", "bailey-z0", "multibasic-q",
-        "alpha-sum", "qpoch-vec-q", "zero-power", "qpoch-budget",
-        "qgamma-budget"])
+], ids=["fourier-z", "fourier-y0", "fourier-y-odd-pi", "appell-lerch-q",
+        "weighted-z", "invariance-c0", "poisson-m0", "bailey-z0",
+        "multibasic-q", "alpha-sum", "qpoch-vec-q", "zero-power",
+        "qpoch-budget", "qgamma-budget"])
 def test_rejected_before_any_work(call, error, match):
     start = time.perf_counter()
     with pytest.raises(error, match=match):
